@@ -1,28 +1,40 @@
-"""Pseudo-outcome construction and per-column regression inference.
+"""Pseudo-outcome construction and column-batched regression inference.
 
 Implements the six compared estimators: full-data OLS, complete-case OLS,
 plugin, plugin-missing, and the two inverse-propensity debiased estimators
 (conditioning on the low-dimensional covariates only, or augmented with the
 remaining columns through a high-dimensional imputer).
+
+All six are one computation.  Each method picks an observation indicator C,
+a propensity delta and a conditional mean nu, builds the (n, p) matrix of
+pseudo-outcomes nu + C/delta * (Y - nu), and regresses every column on W in
+one batched least-squares fit:
+
+    full            oracle Y, C = 1, delta = 1
+    plugin          C = 0 (the pseudo-outcome is nu)
+    plugin_missing  delta = 1
+    dr_w / dr_uw    fitted delta, lowdim / augmented nu
+    complete        Y itself, each column fit on its observed rows only
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr, stdtr
 
 from . import imputers, propensity
 from .data_model import Dataset, MethodKind, PeptideInference, SkipRecord
 from .errors import DataError, NumericalError
 from .imputers import ImputedMatrix, ImputerConfig
-from .propensity import PropensityFit
+from .propensity import PropensityColumns, PropensityFit, _solve_or_pinv
+
+_DR = (MethodKind.DR_W, MethodKind.DR_UW)
 
 
 @dataclass(frozen=True)
 class PseudoOutcome:
     y_tilde: np.ndarray
-    method: MethodKind
     weights_used: np.ndarray  # C_i / delta_i
 
 
@@ -36,21 +48,40 @@ class OlsFit:
 
 @dataclass
 class InferenceConfig:
-    """Knobs shared by the per-column inference loop."""
+    """Knobs shared by the inference functions."""
 
     target: str = "a"
     variance_mode: str = ""  # "" -> per-method default
     prop_tol: float = 1e-8
     prop_max_iter: int = 100
     prop_clip: float = 0.01
-    share_propensity: bool = False
     imputer: ImputerConfig = field(default_factory=ImputerConfig)
 
 
-def pseudo_outcomes(
-    y: np.ndarray, c: np.ndarray, delta_hat: np.ndarray, nu_hat: np.ndarray
-) -> PseudoOutcome:
-    """y_tilde_i = nu_i + (c_i / delta_i) * (y_i - nu_i); masked y never read."""
+@dataclass(frozen=True)
+class ColumnInference:
+    """One estimator's target-coefficient inference for every column.
+
+    Skipped columns have a non-empty ``skip_reason`` and NaN estimates.
+    """
+
+    beta: np.ndarray
+    se: np.ndarray
+    z: np.ndarray
+    p_value: np.ndarray
+    degenerate: np.ndarray
+    skip_reason: np.ndarray  # object array of str, "" where kept
+
+    @property
+    def kept(self) -> np.ndarray:
+        return self.skip_reason == ""
+
+
+def pseudo_outcomes(y, c, delta_hat, nu_hat) -> PseudoOutcome:
+    """y_tilde = nu + (c / delta) * (y - nu); masked y never read.
+
+    Arguments broadcast, so one call builds the (n, p) matrix of a method.
+    """
     c = np.asarray(c, dtype=float)
     delta_hat = np.asarray(delta_hat, dtype=float)
     nu_hat = np.asarray(nu_hat, dtype=float)
@@ -61,61 +92,221 @@ def pseudo_outcomes(
     if not np.isfinite(y_safe).all():
         raise DataError("non-finite observed outcome")
     y_tilde = nu_hat + weights * (y_safe - np.where(c == 1, nu_hat, 0.0))
-    return PseudoOutcome(y_tilde=y_tilde, method=MethodKind.DR_UW, weights_used=weights)
+    return PseudoOutcome(y_tilde=y_tilde, weights_used=weights)
+
+
+def _ols_columns(w, y, variance_mode, obs=None):
+    """Least squares of every column of y (n, p) on w, with its covariance.
+
+    Sandwich: (W'W)^-1 [sum_i r_i^2 w_i w_i'] (W'W)^-1, the plug-in HC0
+    covariance.  Homoskedastic: s^2 (W'W)^-1 with s^2 = r'r / (rows - q).
+    With ``obs``, an (n, p) 0/1 matrix, column j is fit on its rows with
+    obs == 1 only, through its own gram W' diag(obs_j) W.
+
+    Returns (coef (p, q), cov (p, q, q), residuals (n, p), df (p,),
+    singular (p,)); a singular gram gets the minimum-norm solution.
+    """
+    w = np.asarray(w, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, q = w.shape
+    p = y.shape[1]
+    if n <= q:
+        raise DataError(f"need n > q, got n={n}, q={q}")
+    if variance_mode not in ("sandwich", "homoskedastic"):
+        raise DataError(f"unknown variance mode {variance_mode!r}")
+    ww = (w[:, :, None] * w[:, None, :]).reshape(n, q * q)
+    if obs is None:
+        gram = (w.T @ w)[None]
+        rows = np.full(p, n)
+    else:
+        obs = np.asarray(obs, dtype=float)
+        y = np.where(obs == 1, y, 0.0)
+        gram = (obs.T @ ww).reshape(p, q, q)
+        rows = obs.sum(axis=0)
+    gram_inv, singular = _solve_or_pinv(gram, np.broadcast_to(np.eye(q), gram.shape))
+    coef = np.matmul(gram_inv, (w.T @ y).T[:, :, None])[:, :, 0]
+    resid = y - w @ coef.T
+    if obs is not None:
+        resid *= obs
+    if variance_mode == "sandwich":
+        meat = ((resid**2).T @ ww).reshape(p, q, q)
+        cov = gram_inv @ meat @ gram_inv
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sigma2 = (resid**2).sum(axis=0) / (rows - q)
+        cov = sigma2[:, None, None] * gram_inv
+    return coef, cov, resid, rows - q, np.broadcast_to(singular, p)
 
 
 def ols_sandwich(
     y_tilde: np.ndarray, w: np.ndarray, variance_mode: str = "sandwich"
 ) -> OlsFit:
-    """Least squares with either the plug-in sandwich or homoskedastic cov.
-
-    Sandwich: (1/n) * (W'W/n)^-1 [ (1/n) sum r_i^2 w_i w_i' ] (W'W/n)^-1,
-    i.e. the plug-in asymptotic covariance scaled for CI construction.
-    """
-    w = np.asarray(w, dtype=float)
+    """Least squares of one response with the plug-in sandwich or the
+    homoskedastic covariance (see ``_ols_columns``)."""
     y_tilde = np.asarray(y_tilde, dtype=float)
-    n, q = w.shape
-    if n <= q:
-        raise DataError(f"need n > q, got n={n}, q={q}")
-    gram = w.T @ w
-    try:
-        gram_inv = np.linalg.inv(gram)
-    except np.linalg.LinAlgError:
-        raise NumericalError("singular W'W in least squares") from None
-    beta = gram_inv @ (w.T @ y_tilde)
-    resid = y_tilde - w @ beta
-    if variance_mode == "sandwich":
-        meat = (w * resid[:, None] ** 2).T @ w / n
-        bread = gram_inv * n  # (W'W/n)^-1
-        cov = bread @ meat @ bread / n
-    elif variance_mode == "homoskedastic":
-        sigma2 = float(resid @ resid) / (n - q)
-        cov = sigma2 * gram_inv
-    else:
-        raise DataError(f"unknown variance mode {variance_mode!r}")
-    return OlsFit(beta=beta, cov=cov, residuals=resid, variance_mode=variance_mode)
+    coef, cov, resid, _, singular = _ols_columns(w, y_tilde[:, None], variance_mode)
+    if singular[0]:
+        raise NumericalError("singular W'W in least squares")
+    return OlsFit(
+        beta=coef[0], cov=cov[0], residuals=resid[:, 0], variance_mode=variance_mode
+    )
 
 
-def _p_value(beta: float, se: float, variance_mode: str, df: int):
-    """Two-sided p-value: normal reference for the sandwich estimator
-    (asymptotic), Student-t otherwise."""
-    if se > 0:
+def _p_values(beta, se, variance_mode, df):
+    """Two-sided p-values: normal reference for the sandwich estimator
+    (asymptotic), Student-t otherwise.  A zero se (perfect fit) is flagged
+    degenerate, with z = +-inf (p = 0), or z = 0 (p = 1) when beta is 0."""
+    degenerate = ~(se > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
         z = beta / se
-        if variance_mode == "sandwich":
-            p = 2.0 * stats.norm.sf(abs(z))
-        else:
-            p = 2.0 * stats.t.sf(abs(z), df)
-        return z, float(p), False
-    # degenerate perfect fit
-    if beta == 0.0:
-        return 0.0, 1.0, True
-    return float(np.sign(beta)) * np.inf, 0.0, True
+    if variance_mode == "sandwich":
+        p = 2.0 * ndtr(-np.abs(z))
+    else:
+        p = 2.0 * stdtr(df, -np.abs(z))
+    zero = beta == 0.0
+    z = np.where(degenerate, np.where(zero, 0.0, np.sign(beta) * np.inf), z)
+    p = np.where(degenerate, np.where(zero, 1.0, 0.0), p)
+    return z, p, degenerate
 
 
 def _default_variance(method: MethodKind) -> str:
-    if method in (MethodKind.DR_W, MethodKind.DR_UW):
+    if method in _DR:
         return "sandwich"
     return "homoskedastic"
+
+
+def _estimate(method, w, tcol, variance_mode, y_obs, mask, nu=None, delta=None,
+              oracle=None, skip_reason=None) -> ColumnInference:
+    """The batched core: one method's pseudo-outcomes and fit for all columns.
+
+    ``skip_reason`` carries the caller's own skips (their nu and delta
+    columns must still be finite); the data decide the rest.
+    """
+    q = w.shape[1]
+    p = mask.shape[1]
+    reasons = np.full(p, "", dtype=object) if skip_reason is None else skip_reason.copy()
+    obs = None
+    if method is MethodKind.FULL:
+        response = pseudo_outcomes(oracle, 1.0, 1.0, 0.0).y_tilde
+    elif method is MethodKind.COMPLETE:
+        response, obs = y_obs, mask
+    elif method is MethodKind.PLUGIN:
+        response = pseudo_outcomes(y_obs, 0.0, 1.0, nu).y_tilde
+    elif method is MethodKind.PLUGIN_MISSING:
+        response = pseudo_outcomes(y_obs, mask, 1.0, nu).y_tilde
+    elif method in _DR:
+        response = pseudo_outcomes(y_obs, mask, delta, nu).y_tilde
+    else:
+        raise DataError(f"unknown method {method!r}")
+
+    coef, cov, _, df, singular = _ols_columns(w, response, variance_mode, obs)
+    beta = coef[:, tcol]
+    se = np.sqrt(np.maximum(cov[:, tcol, tcol], 0.0))
+    z, p_value, degenerate = _p_values(beta, se, variance_mode, df)
+
+    if obs is not None:
+        rows = mask.sum(axis=0)
+        reasons[singular] = "singular complete-case design"
+        short = rows < q + 2
+        reasons[short] = [f"complete-case rows {r} < q+2" for r in rows[short]]
+    if method is not MethodKind.FULL:
+        reasons[~mask.any(axis=0)] = "all entries missing"
+    skipped = reasons != ""
+    beta, se, z, p_value = (np.where(skipped, np.nan, a) for a in (beta, se, z, p_value))
+    return ColumnInference(
+        beta=beta,
+        se=se,
+        z=z,
+        p_value=p_value,
+        degenerate=degenerate & ~skipped,
+        skip_reason=reasons,
+    )
+
+
+def _records(peptide_ids, method, est: ColumnInference):
+    """(results, skips) records in column order."""
+    results, skips = [], []
+    for row in zip(
+        peptide_ids, est.skip_reason, est.beta.tolist(), est.se.tolist(),
+        est.z.tolist(), est.p_value.tolist(), est.degenerate.tolist(),
+    ):
+        pid, reason, beta, se, z, p, degenerate = row
+        if reason:
+            skips.append(SkipRecord(pid, reason))
+        else:
+            results.append(PeptideInference(
+                peptide_id=pid, method=method, beta=beta, se=se, z=z, p_value=p,
+                degenerate=degenerate,
+            ))
+    return results, skips
+
+
+def _needs_augmented(method: MethodKind) -> bool:
+    return method in (MethodKind.PLUGIN, MethodKind.PLUGIN_MISSING, MethodKind.DR_UW)
+
+
+def _nu_source(method, nu_hat, mu_hat):
+    return mu_hat if method is MethodKind.DR_W else nu_hat
+
+
+def infer_columns(
+    d: Dataset,
+    method: MethodKind,
+    cfg: InferenceConfig,
+    nu_hat: ImputedMatrix = None,
+    mu_hat: ImputedMatrix = None,
+    prop: PropensityColumns = None,
+    oracle: np.ndarray = None,
+) -> ColumnInference:
+    """Apply one estimator to all columns at once.
+
+    Missing nuisances are fitted here: the configured imputer for nu_hat,
+    the lowdim imputer for mu_hat (dr_w), and one batched logistic fit of
+    the mask for the propensities.  All-missing columns are skipped, as
+    are complete-case fits with too few rows or a singular design and DR
+    fits of a column whose propensity IRLS diverged.
+    """
+    if method is MethodKind.FULL and oracle is None:
+        raise DataError("method 'full' requires an oracle complete matrix")
+    if _needs_augmented(method) and nu_hat is None:
+        nu_hat = imputers.impute(d, cfg.imputer)
+    if method is MethodKind.DR_W and mu_hat is None:
+        mu_hat = imputers.impute_lowdim(d)
+    source = _nu_source(method, nu_hat, mu_hat)
+    delta, reasons = None, None
+    if method in _DR:
+        if prop is None:
+            prop = propensity.fit_logistic_columns(
+                d.mask, d.w, cfg.prop_tol, cfg.prop_max_iter, cfg.prop_clip
+            )
+        reasons = np.where(prop.diverged, "propensity IRLS diverged", "").astype(object)
+        delta = np.where(prop.diverged, 1.0, prop.delta_hat)
+    return _estimate(
+        method,
+        d.w,
+        d.covariate_index(cfg.target),
+        cfg.variance_mode or _default_variance(method),
+        d.y_obs,
+        d.mask,
+        nu=None if source is None else source.nu_hat,
+        delta=delta,
+        oracle=oracle,
+        skip_reason=reasons,
+    )
+
+
+def infer_all(
+    d: Dataset,
+    method: MethodKind,
+    cfg: InferenceConfig,
+    nu_hat: ImputedMatrix = None,
+    mu_hat: ImputedMatrix = None,
+    prop: PropensityColumns = None,
+    oracle: np.ndarray = None,
+):
+    """``infer_columns`` as records: (results, skips) in column order."""
+    est = infer_columns(d, method, cfg, nu_hat, mu_hat, prop, oracle)
+    return _records(d.peptide_ids, method, est)
 
 
 def infer_peptide(
@@ -128,122 +319,37 @@ def infer_peptide(
     prop: PropensityFit = None,
     oracle: np.ndarray = None,
 ):
-    """Run one estimator on column j; returns PeptideInference or SkipRecord."""
-    pid = d.peptide_ids[j]
-    c = d.mask[:, j].astype(float)
-    y = d.y_obs[:, j]
-    variance_mode = cfg.variance_mode or _default_variance(method)
-    tcol = d.covariate_index(cfg.target)
+    """Run one estimator on column j; returns PeptideInference or SkipRecord.
 
-    if method is MethodKind.FULL:
-        if oracle is None:
-            raise DataError("method 'full' requires an oracle complete matrix")
-        fit = ols_sandwich(oracle[:, j], d.w, variance_mode)
-        rows = d.n
-    elif method is MethodKind.COMPLETE:
-        obs = c == 1
-        rows = int(obs.sum())
-        if rows < d.q + 2:
-            return SkipRecord(pid, f"complete-case rows {rows} < q+2")
-        fit = ols_sandwich(y[obs], d.w[obs], variance_mode)
-    elif method is MethodKind.PLUGIN:
-        if nu_hat is None:
-            raise DataError("plugin requires an imputed matrix")
-        fit = ols_sandwich(nu_hat.nu_hat[:, j], d.w, variance_mode)
-        rows = d.n
-    elif method is MethodKind.PLUGIN_MISSING:
-        if nu_hat is None:
-            raise DataError("plugin_missing requires an imputed matrix")
-        nu = nu_hat.nu_hat[:, j]
-        resp = nu + c * (np.where(c == 1, y, 0.0) - np.where(c == 1, nu, 0.0))
-        fit = ols_sandwich(resp, d.w, variance_mode)
-        rows = d.n
-    elif method in (MethodKind.DR_W, MethodKind.DR_UW):
-        source = mu_hat if method is MethodKind.DR_W else nu_hat
-        if source is None:
-            raise DataError(f"{method.value} requires an imputed matrix")
+    Unlike ``infer_all`` it fits no imputer: the methods that need one
+    require ``nu_hat`` (``mu_hat`` for dr_w).
+    """
+    col = [j]
+    if method is MethodKind.FULL and oracle is None:
+        raise DataError("method 'full' requires an oracle complete matrix")
+    source = _nu_source(method, nu_hat, mu_hat)
+    if source is None and method not in (MethodKind.FULL, MethodKind.COMPLETE):
+        raise DataError(f"{method.value} requires an imputed matrix")
+    delta = None
+    if method in _DR:
         if prop is None:
             prop = propensity.fit_logistic(
-                c, d.w, cfg.prop_tol, cfg.prop_max_iter, cfg.prop_clip
+                d.mask[:, j], d.w, cfg.prop_tol, cfg.prop_max_iter, cfg.prop_clip
             )
-        po = pseudo_outcomes(y, c, prop.delta_hat, source.nu_hat[:, j])
-        fit = ols_sandwich(po.y_tilde, d.w, variance_mode)
-        rows = d.n
-    else:
-        raise DataError(f"unknown method {method!r}")
-
-    beta = float(fit.beta[tcol])
-    se = float(np.sqrt(max(fit.cov[tcol, tcol], 0.0)))
-    z, p, degenerate = _p_value(beta, se, variance_mode, rows - d.q)
-    return PeptideInference(
-        peptide_id=pid,
-        method=method,
-        beta=beta,
-        se=se,
-        z=z,
-        p_value=p,
-        degenerate=degenerate,
+        delta = prop.delta_hat[:, None]
+    est = _estimate(
+        method,
+        d.w,
+        d.covariate_index(cfg.target),
+        cfg.variance_mode or _default_variance(method),
+        d.y_obs[:, col],
+        d.mask[:, col],
+        nu=None if source is None else source.nu_hat[:, col],
+        delta=delta,
+        oracle=None if oracle is None else oracle[:, col],
     )
-
-
-def _propensity_fits(d: Dataset, cfg: InferenceConfig):
-    """Per-column logistic fits; identical masks can share one fit."""
-    fits = []
-    cache = {}
-    for j in range(d.p):
-        c = d.mask[:, j]
-        key = c.tobytes() if cfg.share_propensity else j
-        if key not in cache:
-            cache[key] = propensity.fit_logistic(
-                c.astype(float), d.w, cfg.prop_tol, cfg.prop_max_iter, cfg.prop_clip
-            )
-        fits.append(cache[key])
-    return fits
-
-
-def _needs_augmented(method: MethodKind) -> bool:
-    return method in (MethodKind.PLUGIN, MethodKind.PLUGIN_MISSING, MethodKind.DR_UW)
-
-
-def infer_all(
-    d: Dataset,
-    method: MethodKind,
-    cfg: InferenceConfig,
-    nu_hat: ImputedMatrix = None,
-    mu_hat: ImputedMatrix = None,
-    prop_fits=None,
-    oracle: np.ndarray = None,
-):
-    """Apply one estimator over all columns in deterministic id order.
-
-    Returns (results, skips).  All-missing columns are skipped, as are
-    complete-case fits with too few rows.
-    """
-    if _needs_augmented(method) and nu_hat is None:
-        nu_hat = imputers.impute(d, cfg.imputer)
-    if method is MethodKind.DR_W and mu_hat is None:
-        mu_hat = imputers.impute_lowdim(d)
-    needs_prop = method in (MethodKind.DR_W, MethodKind.DR_UW)
-    if needs_prop and prop_fits is None:
-        prop_fits = _propensity_fits(d, cfg)
-
-    results, skips = [], []
-    for j in range(d.p):
-        if d.mask[:, j].sum() == 0 and method is not MethodKind.FULL:
-            skips.append(SkipRecord(d.peptide_ids[j], "all entries missing"))
-            continue
-        out = infer_peptide(
-            d,
-            j,
-            method,
-            cfg,
-            nu_hat=nu_hat,
-            mu_hat=mu_hat,
-            prop=prop_fits[j] if needs_prop else None,
-            oracle=oracle,
-        )
-        (skips if isinstance(out, SkipRecord) else results).append(out)
-    return results, skips
+    results, skips = _records([d.peptide_ids[j]], method, est)
+    return (results or skips)[0]
 
 
 def infer_cross_fit(
@@ -256,10 +362,11 @@ def infer_cross_fit(
     """Cross-fit nuisances out-of-fold, then one OLS on assembled pseudo-outcomes.
 
     Supported for the DR estimators with row-predictive imputer backends
-    (mean, lowdim): each fold's propensity and conditional-mean models are
-    fit on the other folds and evaluated on the held-out rows.
+    (mean, lowdim): on each fold, one batched propensity fit and one
+    batched mean or least-squares fit on the other folds' rows give every
+    column's delta and nu on the held-out rows.
     """
-    if method not in (MethodKind.DR_W, MethodKind.DR_UW):
+    if method not in _DR:
         raise DataError("cross-fitting applies to the DR estimators only")
     if folds < 2:
         raise DataError("need at least 2 folds")
@@ -278,54 +385,41 @@ def infer_cross_fit(
     for k in range(folds):
         fold_of[perm[k::folds]] = k
 
-    tcol = d.covariate_index(cfg.target)
-    results, skips = [], []
-    for j in range(d.p):
-        c = d.mask[:, j].astype(float)
-        if c.sum() == 0:
-            skips.append(SkipRecord(d.peptide_ids[j], "all entries missing"))
-            continue
-        y = d.y_obs[:, j]
-        y_tilde = np.empty(d.n)
-        try:
-            for k in range(folds):
-                test = fold_of == k
-                train = ~test
-                prop = propensity.fit_logistic(
-                    c[train], d.w[train], cfg.prop_tol, cfg.prop_max_iter, cfg.prop_clip
-                )
-                delta = prop.predict(d.w[test])
-                train_ds = d.select_rows(np.flatnonzero(train)).select_columns([j])
-                if backend == "mean":
-                    obs = train_ds.mask[:, 0] == 1
-                    nu_test = np.full(int(test.sum()), train_ds.y_obs[obs, 0].mean())
-                else:
-                    obs = train_ds.mask[:, 0] == 1
-                    if obs.sum() <= d.q:
-                        raise DataError("too few observed training rows")
-                    coef = np.linalg.lstsq(
-                        train_ds.w[obs], train_ds.y_obs[obs, 0], rcond=None
-                    )[0]
-                    nu_test = d.w[test] @ coef
-                po = pseudo_outcomes(y[test], c[test], delta, nu_test)
-                y_tilde[test] = po.y_tilde
-        except DataError as exc:
-            skips.append(SkipRecord(d.peptide_ids[j], str(exc)))
-            continue
-        variance_mode = cfg.variance_mode or "sandwich"
-        fit = ols_sandwich(y_tilde, d.w, variance_mode)
-        beta = float(fit.beta[tcol])
-        se = float(np.sqrt(max(fit.cov[tcol, tcol], 0.0)))
-        z, p, degenerate = _p_value(beta, se, variance_mode, d.n - d.q)
-        results.append(
-            PeptideInference(
-                peptide_id=d.peptide_ids[j],
-                method=method,
-                beta=beta,
-                se=se,
-                z=z,
-                p_value=p,
-                degenerate=degenerate,
-            )
+    c = d.mask.astype(float)
+    delta = np.empty((d.n, d.p))
+    nu = np.empty((d.n, d.p))
+    diverged = np.zeros(d.p, dtype=bool)
+    few = np.zeros(d.p, dtype=bool)
+    min_rows = 1 if backend == "mean" else d.q + 1
+    for k in range(folds):
+        test = fold_of == k
+        train = ~test
+        prop = propensity.fit_logistic_columns(
+            c[train], d.w[train], cfg.prop_tol, cfg.prop_max_iter, cfg.prop_clip
         )
-    return results, skips
+        delta[test] = prop.predict(d.w[test])
+        diverged |= prop.diverged
+        few |= c[train].sum(axis=0) < min_rows
+        if backend == "mean":  # the observed mean: least squares on an intercept
+            w_train, w_test = np.ones((train.sum(), 1)), np.ones((test.sum(), 1))
+        else:
+            w_train, w_test = d.w[train], d.w[test]
+        coef = _ols_columns(w_train, d.y_obs[train], "homoskedastic", c[train])[0]
+        nu[test] = w_test @ coef.T
+
+    reasons = np.full(d.p, "", dtype=object)
+    reasons[few] = "too few observed training rows"
+    reasons[diverged] = "propensity IRLS diverged"
+    bad = reasons != ""
+    est = _estimate(
+        method,
+        d.w,
+        d.covariate_index(cfg.target),
+        cfg.variance_mode or _default_variance(method),
+        d.y_obs,
+        d.mask,
+        nu=np.where(bad, 0.0, nu),
+        delta=np.where(bad, 1.0, delta),
+        skip_reason=reasons,
+    )
+    return _records(d.peptide_ids, method, est)

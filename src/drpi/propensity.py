@@ -1,4 +1,12 @@
-"""Logistic observation-probability model fit by IRLS with step-halving."""
+"""Logistic observation-probability models fit by IRLS with step-halving.
+
+``fit_logistic_columns`` fits every column of a 0/1 matrix at once.  A
+column's arithmetic is elementwise or a reduction along its own row, never
+a BLAS call that mixes columns, so a column gets bit-for-bit the same fit
+whatever else is in the batch; ``fit_logistic`` is the one-column case.
+That matters because the step-halving test compares log-likelihoods that
+agree to rounding near the optimum.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -6,6 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
+
+# a coefficient norm beyond this is reported as IRLS divergence
+DIVERGENCE_NORM = 1e6
+STEP_HALVINGS = 50
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
@@ -18,8 +30,43 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
 
 
 def _loglik(c, eta):
-    # sum c*eta - log(1 + exp(eta)), stable for large |eta|
-    return float(c @ eta - np.logaddexp(0.0, eta).sum())
+    """sum c*eta - log(1 + exp(eta)) over the last axis, stable for large |eta|."""
+    return (c * eta).sum(axis=-1) - np.logaddexp(0.0, eta).sum(axis=-1)
+
+
+def _eta(w: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """(p, n) linear predictors w @ coef[j], summed over covariates in a
+    fixed order."""
+    eta = coef[:, :1] * w[:, 0]
+    for k in range(1, w.shape[1]):
+        eta = eta + coef[:, k : k + 1] * w[:, k]
+    return eta
+
+
+def _row_dots(x: np.ndarray, vt: np.ndarray) -> np.ndarray:
+    """(p, m) sums over i of x[j, i] * vt[k, i], one row reduction each."""
+    return np.stack([(x * v).sum(axis=-1) for v in vt], axis=-1)
+
+
+def _solve_or_pinv(a: np.ndarray, b: np.ndarray):
+    """Solve the stacked systems a[j] x[j] = b[j]; a is (p, q, q), b (p, q, r).
+
+    A system whose LU factorization meets an exactly zero pivot takes the
+    minimum-norm least-squares solution instead, as ``lstsq`` would.
+    Returns (x, singular), singular a (p,) mask of those systems.
+    """
+    try:
+        return np.linalg.solve(a, b), np.zeros(a.shape[0], dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    singular = np.linalg.slogdet(a)[0] == 0
+    x = np.empty(b.shape)
+    regular = ~singular
+    if regular.any():
+        x[regular] = np.linalg.solve(a[regular], b[regular])
+    pinv = np.linalg.pinv(a[singular], rcond=np.finfo(float).eps * a.shape[-1])
+    x[singular] = np.matmul(pinv, b[singular])
+    return x, singular
 
 
 @dataclass(frozen=True)
@@ -44,8 +91,147 @@ class PropensityFit:
         if self.separated:
             pred = np.full(w_new.shape[0], self.constant_value)
         else:
-            pred = _sigmoid(w_new @ self.coef)
+            pred = _sigmoid(_eta(w_new, self.coef[None])[0])
         return np.clip(pred, self.clip_floor, 1.0)
+
+
+@dataclass(frozen=True)
+class PropensityColumns:
+    """Per-column logistic fits of an (n, p) observation matrix.
+
+    Columns whose IRLS diverged have ``diverged`` set, NaN coefficients and
+    NaN fitted probabilities.
+    """
+
+    coef: np.ndarray  # (p, q)
+    delta_hat: np.ndarray  # (n, p), clipped to [clip_floor, 1]
+    clip_floor: float
+    converged: np.ndarray  # (p,) bool
+    iterations: np.ndarray  # (p,) int
+    separated: np.ndarray  # (p,) bool: constant column, constant fit
+    constant_value: np.ndarray  # (p,) the constant of a separated column
+    diverged: np.ndarray  # (p,) bool
+
+    def predict(self, w_new: np.ndarray) -> np.ndarray:
+        """(m, p) clipped fitted probabilities at new covariate rows."""
+        pred = _sigmoid(_eta(w_new, self.coef)).T
+        pred[:, self.separated] = self.constant_value[self.separated]
+        return np.clip(pred, self.clip_floor, 1.0)
+
+    def column(self, j: int) -> PropensityFit:
+        return PropensityFit(
+            coef=self.coef[j],
+            delta_hat=self.delta_hat[:, j],
+            clip_floor=self.clip_floor,
+            converged=bool(self.converged[j]),
+            iterations=int(self.iterations[j]),
+            separated=bool(self.separated[j]),
+            constant_value=float(self.constant_value[j]),
+        )
+
+
+def fit_logistic_columns(
+    c: np.ndarray,
+    w: np.ndarray,
+    tol: float = 1e-8,
+    max_iter: int = 100,
+    clip_floor: float = 0.01,
+) -> PropensityColumns:
+    """Maximize the Bernoulli log-likelihood of each column of c given w.
+
+    A column converges when its score max-norm or its relative
+    log-likelihood change drops below tol, or when no step-halving of the
+    Newton step raises the log-likelihood.  Fitted probabilities are clipped
+    to [clip_floor, 1] so inverse-propensity weights stay bounded.  A
+    constant column gets a constant-propensity fit with ``separated`` set,
+    so fully observed columns flow through the same pipeline.
+    """
+    c = np.asarray(c, dtype=float)
+    w = np.asarray(w, dtype=float)
+    n, q = w.shape
+    if c.ndim != 2 or c.shape[0] != n:
+        raise DataError(f"response shape {c.shape} does not match {n} covariate rows")
+    if not np.isin(c, (0.0, 1.0)).all():
+        raise DataError("response entries must be 0 or 1")
+    p = c.shape[1]
+    separated = c.min(axis=0) == c.max(axis=0)
+    constant = c[0]
+    coef = np.zeros((p, q))
+    converged = separated.copy()
+    iterations = np.zeros(p, dtype=int)
+    diverged = np.zeros(p, dtype=bool)
+
+    wt = np.ascontiguousarray(w.T)
+    wwt = (wt[:, None, :] * wt[None, :, :]).reshape(q * q, n)
+
+    cols = np.flatnonzero(~separated)  # the active columns and their state
+    ct = np.ascontiguousarray(c[:, cols].T)
+    beta = coef[cols]
+    eta = _eta(w, beta)
+    ll = _loglik(ct, eta)
+
+    def retire(done, it, conv):
+        """Store the fits of the ``done`` columns; returns the kept mask."""
+        nonlocal cols, ct, beta, eta, ll
+        coef[cols[done]] = beta[done]
+        converged[cols[done]] = conv
+        iterations[cols[done]] = it
+        keep = ~done
+        cols, ct, beta, eta, ll = cols[keep], ct[keep], beta[keep], eta[keep], ll[keep]
+        return keep
+
+    for it in range(1, max_iter + 1):
+        prob = _sigmoid(eta)
+        score = _row_dots(ct - prob, wt)
+        keep = retire(np.abs(score).max(axis=1) <= tol, it, True)
+        if cols.size == 0:
+            break
+        prob, score = prob[keep], score[keep]
+        weight = prob * (1.0 - prob)
+        hess = _row_dots(weight, wwt).reshape(-1, q, q)
+        step = _solve_or_pinv(hess, score[:, :, None])[0][:, :, 0]
+
+        # step-halving keeps each column's log-likelihood monotone
+        scale = np.ones(cols.size)
+        cand = beta + scale[:, None] * step
+        eta_new = _eta(w, cand)
+        ll_new = _loglik(ct, eta_new)
+        pending = np.flatnonzero(ll_new < ll)
+        for _ in range(STEP_HALVINGS - 1):
+            if pending.size == 0:
+                break
+            scale[pending] *= 0.5
+            cand[pending] = beta[pending] + scale[pending, None] * step[pending]
+            eta_new[pending] = _eta(w, cand[pending])
+            ll_new[pending] = _loglik(ct[pending], eta_new[pending])
+            pending = pending[ll_new[pending] < ll[pending]]
+        stuck = np.zeros(cols.size, dtype=bool)
+        stuck[pending] = True  # no ascent direction left: at the optimum
+        keep = retire(stuck, it, True)
+        beta, eta, ll_new = cand[keep], eta_new[keep], ll_new[keep]
+
+        blown = np.linalg.norm(beta, axis=1) > DIVERGENCE_NORM
+        diverged[cols[blown]] = True
+        keep = retire(blown, it, False)
+        ll_new = ll_new[keep]
+        keep = retire(ll_new - ll <= tol * np.maximum(np.abs(ll), 1.0), it, True)
+        ll = ll_new[keep]
+    coef[cols] = beta  # out of iterations, not converged
+    iterations[cols] = max_iter
+
+    coef[diverged] = np.nan
+    delta = np.clip(_sigmoid(_eta(w, coef)).T, clip_floor, 1.0)
+    delta[:, separated] = np.where(constant[separated] == 1.0, 1.0, clip_floor)
+    return PropensityColumns(
+        coef=coef,
+        delta_hat=delta,
+        clip_floor=clip_floor,
+        converged=converged,
+        iterations=iterations,
+        separated=separated,
+        constant_value=constant,
+        diverged=diverged,
+    )
 
 
 def fit_logistic(
@@ -55,81 +241,12 @@ def fit_logistic(
     max_iter: int = 100,
     clip_floor: float = 0.01,
 ) -> PropensityFit:
-    """Maximize the Bernoulli log-likelihood of c given covariates w.
-
-    Convergence when the score max-norm or the relative log-likelihood
-    change drops below tol.  Fitted probabilities are clipped to
-    [clip_floor, 1] so inverse-propensity weights stay bounded.
-
-    A constant response is returned as a constant-propensity fit with the
-    `separated` flag set, so fully observed columns flow through the same
-    pipeline.
-    """
+    """One column of ``fit_logistic_columns``; raises NumericalError when
+    its IRLS diverges."""
     c = np.asarray(c, dtype=float)
-    w = np.asarray(w, dtype=float)
-    n, q = w.shape
-    if not np.isin(c, (0.0, 1.0)).all():
-        raise DataError("response entries must be 0 or 1")
-
-    if c.min() == c.max():
-        const = 1.0 if c[0] == 1.0 else clip_floor
-        return PropensityFit(
-            coef=np.zeros(q),
-            delta_hat=np.full(n, const),
-            clip_floor=clip_floor,
-            converged=True,
-            iterations=0,
-            separated=True,
-            constant_value=float(c[0]),
+    fits = fit_logistic_columns(c[:, None], w, tol, max_iter, clip_floor)
+    if fits.diverged[0]:
+        raise NumericalError(
+            f"IRLS diverged: coefficient norm exceeds {DIVERGENCE_NORM:g}"
         )
-
-    beta = np.zeros(q)
-    ll = _loglik(c, w @ beta)
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        eta = w @ beta
-        prob = _sigmoid(eta)
-        score = w.T @ (c - prob)
-        if np.abs(score).max() <= tol:
-            converged = True
-            break
-        weight = prob * (1.0 - prob)
-        hess = w.T @ (w * weight[:, None])
-        try:
-            step = np.linalg.solve(hess, score)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, score, rcond=None)[0]
-        # step-halving keeps the log-likelihood monotone
-        scale = 1.0
-        for _ in range(50):
-            cand = beta + scale * step
-            ll_new = _loglik(c, w @ cand)
-            if ll_new >= ll:
-                break
-            scale *= 0.5
-        else:
-            converged = True  # no ascent direction left: at the optimum
-            break
-        beta = cand
-        if np.linalg.norm(beta) > 1e6:
-            raise NumericalError("IRLS diverged: coefficient norm exceeds 1e6")
-        if ll_new - ll <= tol * max(abs(ll), 1.0):
-            ll = ll_new
-            converged = True
-            break
-        ll = ll_new
-
-    delta = np.clip(_sigmoid(w @ beta), clip_floor, 1.0)
-    return PropensityFit(
-        coef=beta,
-        delta_hat=delta,
-        clip_floor=clip_floor,
-        converged=converged,
-        iterations=it,
-    )
-
-
-def predict(fit: PropensityFit, w_new: np.ndarray) -> np.ndarray:
-    """Clipped fitted probabilities at new covariate rows."""
-    return fit.predict(w_new)
+    return fits.column(0)

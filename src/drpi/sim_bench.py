@@ -13,9 +13,9 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
-from . import dr_inference, imputers, multiple_testing
+from . import dr_inference, imputers, multiple_testing, propensity
 from .data_model import Dataset, MethodKind
 from .dr_inference import InferenceConfig
 from .errors import DataError, NumericalError
@@ -233,30 +233,32 @@ def _run_rep(cfg: SimConfig, rep: int, methods, inf_cfg: InferenceConfig):
         imputers.impute_lowdim(d) if MethodKind.DR_W in methods else None
     )
     needs_prop = any(m in (MethodKind.DR_W, MethodKind.DR_UW) for m in methods)
-    prop_fits = dr_inference._propensity_fits(d, inf_cfg) if needs_prop else None
+    prop = (
+        propensity.fit_logistic_columns(
+            d.mask, d.w, inf_cfg.prop_tol, inf_cfg.prop_max_iter, inf_cfg.prop_clip
+        )
+        if needs_prop
+        else None
+    )
 
     out = {}
     for m in methods:
-        results, skips = dr_inference.infer_all(
+        est = dr_inference.infer_columns(
             d,
             m,
             inf_cfg,
             nu_hat=nu_aug,
             mu_hat=mu_low,
-            prop_fits=prop_fits,
+            prop=prop,
             oracle=truth.y_full if m is MethodKind.FULL else None,
         )
-        idx = {pid: j for j, pid in enumerate(d.peptide_ids)}
-        cols = np.array([idx[r.peptide_id] for r in results], dtype=int)
-        p_values = np.array([r.p_value for r in results])
-        betas = np.full(cfg.p, np.nan)
-        betas[cols] = [r.beta for r in results]
-        q = multiple_testing.bh_qvalues(p_values)
+        cols = np.flatnonzero(est.kept)
+        q = multiple_testing.bh_qvalues(est.p_value[cols])
         per_cut = {}
         for cut in cfg.cutoffs:
             sel = cols[multiple_testing.select(q, cut)]
             per_cut[cut] = fdr_tpr(sel, truth.signal_set, cfg.p)
-        out[m] = (per_cut, betas)
+        out[m] = (per_cut, est.beta)
     return out
 
 
@@ -332,7 +334,7 @@ def toy_power_experiment(
     Vectorized over repetitions.
     """
     rows = []
-    zcrit = stats.norm.ppf(1.0 - alpha / 2.0)
+    zcrit = ndtri(1.0 - alpha / 2.0)
     for rho in rho_grid:
         if not 0.0 <= rho <= 1.0:
             raise DataError("rho must be in [0, 1]")

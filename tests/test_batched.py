@@ -1,0 +1,187 @@
+"""The column-batched core against single-column fits and reference loops."""
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from drpi.cli import parse_and_dispatch
+from drpi.data_model import MethodKind, SkipRecord, write_dataset
+from drpi.dr_inference import InferenceConfig, infer_all, infer_columns, infer_cross_fit
+from drpi.imputers import ImputerConfig, impute, impute_lowdim
+from drpi.propensity import fit_logistic, fit_logistic_columns
+from drpi.sim_bench import SimConfig, gen_dataset
+from tests import reference_loops as ref
+from tests.test_data_model import make_dataset
+
+ROOT = Path(__file__).resolve().parents[1]
+TCOL = 1  # "a" in W = [intercept, a, x]
+
+
+def _new_fit(c, w):
+    fit = fit_logistic(c, w)
+    return fit.coef, fit.delta_hat
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """The 200 x 1000 dataset whose column 19 ends IRLS on a rounding-level
+    log-likelihood gain."""
+    return gen_dataset(SimConfig(model=3, n=200, p=1000, seed=7))[0]
+
+
+@pytest.fixture(scope="module")
+def desk():
+    return gen_dataset(SimConfig(model=3, n=200, p=300, seed=1))
+
+
+# ------------------------------------------------------ batch width
+
+
+@pytest.mark.parametrize("which", ["wide", "desk"])
+def test_batched_propensity_matches_single_column_fits(which, wide, desk):
+    d = wide if which == "wide" else desk[0]
+    c = d.mask.astype(float)
+    batch = fit_logistic_columns(c, d.w)
+    for j in range(d.p):
+        single = fit_logistic(c[:, j], d.w)
+        np.testing.assert_allclose(batch.delta_hat[:, j], single.delta_hat, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batch.coef[j], single.coef, rtol=0, atol=1e-12)
+        assert batch.iterations[j] == single.iterations
+        assert batch.converged[j] == single.converged
+
+
+def test_batch_width_and_order_do_not_change_a_column(wide):
+    c = wide.mask.astype(float)
+    full = fit_logistic_columns(c, wide.w).delta_hat
+    for cols in ([19], [18, 19], [19, 18, 17, 400], list(range(999, -1, -7))):
+        part = fit_logistic_columns(c[:, cols], wide.w).delta_hat
+        np.testing.assert_array_equal(part, full[:, cols])
+
+
+def test_irls_matches_reference_loop_except_rounding_ties(wide):
+    """Declared deviation: the log-likelihood is now summed per row rather
+    than by a BLAS dot, so where the last Newton step gains only rounding
+    noise the accept/halve decision can differ from the original loop."""
+    c = wide.mask.astype(float)
+    batch = fit_logistic_columns(c, wide.w).delta_hat
+    loop = np.column_stack([ref.fit_logistic(c[:, j], wide.w)[1] for j in range(wide.p)])
+    dev = np.abs(batch - loop).max(axis=0)
+    assert (dev > 1e-12).mean() <= 0.03
+    assert dev.max() <= 5e-8
+
+
+# ------------------------------------------------------ estimators vs loops
+
+
+@pytest.mark.parametrize("method", list(MethodKind))
+def test_every_method_matches_reference_loop(method, desk):
+    d, truth = desk
+    cfg = InferenceConfig(target="a", imputer=ImputerConfig(backend="knn"))
+    nu = impute(d, cfg.imputer)
+    mu = impute_lowdim(d)
+    est = infer_columns(d, method, cfg, nu_hat=nu, mu_hat=mu, oracle=truth.y_full)
+    got = np.column_stack([est.beta, est.se, est.p_value])
+    source = mu if method is MethodKind.DR_W else nu
+    want = ref.infer(d, method, TCOL, nu=source.nu_hat, oracle=truth.y_full, fit=_new_fit)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
+
+
+@pytest.mark.parametrize("method,backend", [
+    (MethodKind.DR_W, "lowdim"), (MethodKind.DR_UW, "lowdim"), (MethodKind.DR_UW, "mean"),
+])
+def test_cross_fit_matches_reference_loop(method, backend):
+    d, _ = gen_dataset(SimConfig(model=3, n=200, p=120, seed=5))
+    cfg = InferenceConfig(target="a", imputer=ImputerConfig(backend=backend))
+    res, skips = infer_cross_fit(d, method, 5, cfg)
+    assert not skips
+    got = np.array([[r.beta, r.se, r.p_value] for r in res])
+    want = ref.cross_fit(d, 5, TCOL, "lowdim" if method is MethodKind.DR_W else backend,
+                         fit=_new_fit)
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
+
+
+# ------------------------------------------------------ per-column failure
+
+
+def _one_diverging_column(rng, n=120, p=6):
+    """Column 2 is observed exactly where x > 1/2, and x is on a 1e-4
+    scale, so its propensity IRLS runs the coefficients past 1e6."""
+    a = rng.integers(0, 2, size=n).astype(float)
+    x = rng.uniform(size=n)
+    w = np.column_stack([np.ones(n), a, 1e-4 * x])
+    y = np.outer(a, np.linspace(0, 1, p)) + rng.normal(size=(n, p))
+    mask = (rng.random((n, p)) < 0.7).astype(np.int8)
+    mask[:, 2] = x > 0.5
+    return make_dataset(y, mask, w, covariate_names=("intercept", "a", "x"))
+
+
+def test_irls_divergence_skips_only_that_column(tmp_path):
+    d = _one_diverging_column(np.random.default_rng(0))
+    assert fit_logistic_columns(d.mask, d.w).diverged.tolist() == [
+        False, False, True, False, False, False
+    ]
+    others = d.select_columns([0, 1, 3, 4, 5])
+    cfg = InferenceConfig(target="a", imputer=ImputerConfig(backend="lowdim"))
+    runs = [
+        lambda data: infer_all(data, MethodKind.DR_UW, cfg),
+        lambda data: infer_all(data, MethodKind.DR_W, cfg),
+        lambda data: infer_cross_fit(data, MethodKind.DR_UW, 3, cfg),
+    ]
+    for run in runs:
+        res, skips = run(d)
+        assert [s.peptide_id for s in skips] == ["p2"]
+        assert "diverged" in skips[0].reason
+        alone, _ = run(others)
+        assert [r.peptide_id for r in res] == [r.peptide_id for r in alone]
+        for r, r0 in zip(res, alone):
+            assert (r.beta, r.se, r.p_value) == pytest.approx((r0.beta, r0.se, r0.p_value), rel=1e-12)
+
+    write_dataset(d, tmp_path / "y.csv", tmp_path / "w.csv")
+    code = parse_and_dispatch([
+        "analyze", "--outcomes", str(tmp_path / "y.csv"), "--covariates", str(tmp_path / "w.csv"),
+        "--target", "a", "--imputer", "lowdim", "--out", str(tmp_path / "r.csv"), "--quiet",
+    ])
+    assert code == 0
+    assert "p2" not in (tmp_path / "r.csv").read_text()
+
+
+def test_singular_complete_case_design_skips_only_that_column():
+    """Column 1 is observed only where a == 1, so its complete-case design
+    cannot separate the intercept from a."""
+    rng = np.random.default_rng(1)
+    n, p = 120, 4
+    a = rng.integers(0, 2, size=n).astype(float)
+    w = np.column_stack([np.ones(n), a, rng.uniform(size=n)])
+    mask = (rng.random((n, p)) < 0.8).astype(np.int8)
+    mask[:, 1] = a == 1
+    d = make_dataset(rng.normal(size=(n, p)), mask, w, covariate_names=("intercept", "a", "x"))
+    cfg = InferenceConfig(target="a")
+    res, skips = infer_all(d, MethodKind.COMPLETE, cfg)
+    assert skips == [SkipRecord("p1", "singular complete-case design")]
+    alone, _ = infer_all(d.select_columns([0, 2, 3]), MethodKind.COMPLETE, cfg)
+    for r, r0 in zip(res, alone):
+        assert (r.beta, r.se, r.p_value) == pytest.approx((r0.beta, r0.se, r0.p_value), rel=1e-12)
+
+
+# ------------------------------------------------------ import and docs
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    code = "import sys, drpi.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_readme_quick_start_runs(capsys):
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()

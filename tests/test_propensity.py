@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from drpi.propensity import _loglik, _sigmoid, fit_logistic, predict
+from drpi.propensity import _loglik, _sigmoid, fit_logistic
 
 
 def test_all_ones_is_separated_constant_fit():
@@ -75,7 +75,7 @@ def test_mar_recovery_monte_carlo():
     c = (rng.random(n) >= p_miss).astype(float)
     w = np.column_stack([np.ones(n), x])
     fit = fit_logistic(c, w)
-    at_zero = predict(fit, np.array([[1.0, 0.0]]))[0]
+    at_zero = fit.predict(np.array([[1.0, 0.0]]))[0]
     mc_se = np.sqrt(0.75 * 0.25 / n)
     assert abs(at_zero - 0.75) < 3 * mc_se + 0.01
 
@@ -91,7 +91,7 @@ def test_predict_zero_coef_gives_half():
         converged=True,
         iterations=0,
     )
-    np.testing.assert_allclose(predict(zeroed, np.array([[1.0, 5.0]])), 0.5)
+    np.testing.assert_allclose(zeroed.predict(np.array([[1.0, 5.0]])), 0.5)
 
 
 def test_predict_training_rows_match_delta_hat():
@@ -100,7 +100,7 @@ def test_predict_training_rows_match_delta_hat():
     w = np.column_stack([np.ones(n), rng.normal(size=n)])
     c = (rng.random(n) < 0.7).astype(float)
     fit = fit_logistic(c, w)
-    np.testing.assert_allclose(predict(fit, w), fit.delta_hat, atol=1e-12)
+    np.testing.assert_allclose(fit.predict(w), fit.delta_hat, atol=1e-12)
 
 
 def test_predict_saturates_at_one():
