@@ -5,6 +5,7 @@ import argparse
 import csv
 import logging
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,7 +34,6 @@ def _add_common(sp):
     sp.add_argument("--config", help="flat key=value config file; flags override")
     sp.add_argument("--quiet", action="store_true", help="suppress progress logging")
     sp.add_argument("--log-level", default="info")
-    sp.add_argument("--threads", type=int, default=0, help="0 = single-threaded")
 
 
 def build_parser() -> _Parser:
@@ -55,13 +55,17 @@ def build_parser() -> _Parser:
     an.add_argument("--imputer-lambda", type=float, default=float("nan"))
     an.add_argument("--imputer-rank", type=int, default=10)
     an.add_argument("--imputer-k", type=int, default=10)
-    an.add_argument("--external-nu", default="")
+    an.add_argument(
+        "--external-nu", default="", help="fitted means; with --obs-threshold, of the feed set"
+    )
     an.add_argument("--alpha", type=float, default=0.05)
     an.add_argument("--missing-token", default="")
     an.add_argument("--mask", default=None, help="optional 0/1 mask CSV")
     an.add_argument("--no-intercept", action="store_true")
     an.add_argument("--obs-threshold", type=float, default=0.0)
-    an.add_argument("--feed-threshold", type=float, default=0.2)
+    an.add_argument(
+        "--feed-threshold", type=float, default=0.2, help="observation rate to feed the imputer"
+    )
     an.add_argument("--variance", default="", choices=["", "sandwich", "homoskedastic"])
     an.add_argument("--cross-fit", type=int, default=0, metavar="K")
     an.add_argument("--prop-tol", type=float, default=1e-8)
@@ -96,6 +100,7 @@ def build_parser() -> _Parser:
         help="desk: n=200 p=300 reps=100; paper: p=1000 reps=200",
     )
     si.add_argument("--out", required=True)
+    si.add_argument("--threads", type=int, default=0, help="0 = single-threaded")
     _add_common(si)
 
     tp = sub.add_parser("toy-power", help="power of W vs UW pseudo-outcomes")
@@ -169,9 +174,6 @@ def _cmd_analyze(args) -> int:
         mask_path=args.mask,
         add_intercept=not args.no_intercept,
     )
-    if args.obs_threshold > 0:
-        d, d_feed = filter_by_rate(d, args.obs_threshold, args.feed_threshold)
-        log.info("kept %d/%d columns for inference", d.p, d_feed.p)
     method = MethodKind(args.method)
     cfg = InferenceConfig(
         target=args.target,
@@ -181,10 +183,19 @@ def _cmd_analyze(args) -> int:
         prop_clip=args.prop_clip,
         imputer=_imputer_cfg(args),
     )
+    nu_hat = None
+    if args.obs_threshold > 0:
+        d, d_feed = filter_by_rate(d, args.obs_threshold, args.feed_threshold)
+        log.info("kept %d/%d columns for inference", d.p, d_feed.p)
+        if not args.cross_fit and dr_inference._needs_augmented(method):
+            # impute on the wider feed set, infer on the kept columns
+            feed = imputers.impute(d_feed, cfg.imputer)
+            kept = np.isin(d_feed.peptide_ids, d.peptide_ids)
+            nu_hat = replace(feed, nu_hat=feed.nu_hat[:, kept])
     if args.cross_fit:
         results, skips = dr_inference.infer_cross_fit(d, method, args.cross_fit, cfg)
     else:
-        results, skips = dr_inference.infer_all(d, method, cfg)
+        results, skips = dr_inference.infer_all(d, method, cfg, nu_hat=nu_hat)
     for rec in skips:
         log.warning("skipped %s: %s", rec.peptide_id, rec.reason)
     if not results:

@@ -24,10 +24,11 @@ import numpy as np
 from scipy.special import ndtr, stdtr
 
 from . import imputers, propensity
+from ._linalg import _masked_least_squares, _outer_rows
 from .data_model import Dataset, MethodKind, PeptideInference, SkipRecord
 from .errors import DataError, NumericalError
 from .imputers import ImputedMatrix, ImputerConfig
-from .propensity import PropensityColumns, PropensityFit, _solve_or_pinv
+from .propensity import PropensityColumns, PropensityFit
 
 _DR = (MethodKind.DR_W, MethodKind.DR_UW)
 
@@ -96,46 +97,37 @@ def pseudo_outcomes(y, c, delta_hat, nu_hat) -> PseudoOutcome:
 
 
 def _ols_columns(w, y, variance_mode, obs=None):
-    """Least squares of every column of y (n, p) on w, with its covariance.
+    """``_masked_least_squares`` of every column of y (n, p) on w, with its
+    covariance.
 
     Sandwich: (W'W)^-1 [sum_i r_i^2 w_i w_i'] (W'W)^-1, the plug-in HC0
     covariance.  Homoskedastic: s^2 (W'W)^-1 with s^2 = r'r / (rows - q).
-    With ``obs``, an (n, p) 0/1 matrix, column j is fit on its rows with
-    obs == 1 only, through its own gram W' diag(obs_j) W.
+    With ``obs`` both sums run over each column's observed rows only.
 
     Returns (coef (p, q), cov (p, q, q), residuals (n, p), df (p,),
-    singular (p,)); a singular gram gets the minimum-norm solution.
+    singular (p,)).
     """
     w = np.asarray(w, dtype=float)
-    y = np.asarray(y, dtype=float)
     n, q = w.shape
-    p = y.shape[1]
     if n <= q:
         raise DataError(f"need n > q, got n={n}, q={q}")
     if variance_mode not in ("sandwich", "homoskedastic"):
         raise DataError(f"unknown variance mode {variance_mode!r}")
-    ww = (w[:, :, None] * w[:, None, :]).reshape(n, q * q)
-    if obs is None:
-        gram = (w.T @ w)[None]
-        rows = np.full(p, n)
-    else:
-        obs = np.asarray(obs, dtype=float)
-        y = np.where(obs == 1, y, 0.0)
-        gram = (obs.T @ ww).reshape(p, q, q)
-        rows = obs.sum(axis=0)
-    gram_inv, singular = _solve_or_pinv(gram, np.broadcast_to(np.eye(q), gram.shape))
-    coef = np.matmul(gram_inv, (w.T @ y).T[:, :, None])[:, :, 0]
+    coef, gram_inv, singular = _masked_least_squares(w, y, obs)
     resid = y - w @ coef.T
-    if obs is not None:
-        resid *= obs
+    if obs is None:
+        rows = np.full(y.shape[1], n)
+    else:
+        resid = np.where(obs == 1, resid, 0.0)
+        rows = obs.sum(axis=0)
     if variance_mode == "sandwich":
-        meat = ((resid**2).T @ ww).reshape(p, q, q)
+        meat = ((resid**2).T @ _outer_rows(w)).reshape(-1, q, q)
         cov = gram_inv @ meat @ gram_inv
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
             sigma2 = (resid**2).sum(axis=0) / (rows - q)
         cov = sigma2[:, None, None] * gram_inv
-    return coef, cov, resid, rows - q, np.broadcast_to(singular, p)
+    return coef, cov, resid, rows - q, singular
 
 
 def ols_sandwich(
@@ -249,6 +241,20 @@ def _nu_source(method, nu_hat, mu_hat):
     return mu_hat if method is MethodKind.DR_W else nu_hat
 
 
+def _nuisances(d, methods, cfg, nu_hat=None, mu_hat=None, prop=None):
+    """(nu_hat, mu_hat, prop), fitting those that ``methods`` need and the
+    caller did not pass."""
+    if nu_hat is None and any(_needs_augmented(m) for m in methods):
+        nu_hat = imputers.impute(d, cfg.imputer)
+    if mu_hat is None and MethodKind.DR_W in methods:
+        mu_hat = imputers.impute_lowdim(d)
+    if prop is None and any(m in _DR for m in methods):
+        prop = propensity.fit_logistic_columns(
+            d.mask, d.w, cfg.prop_tol, cfg.prop_max_iter, cfg.prop_clip
+        )
+    return nu_hat, mu_hat, prop
+
+
 def infer_columns(
     d: Dataset,
     method: MethodKind,
@@ -268,17 +274,10 @@ def infer_columns(
     """
     if method is MethodKind.FULL and oracle is None:
         raise DataError("method 'full' requires an oracle complete matrix")
-    if _needs_augmented(method) and nu_hat is None:
-        nu_hat = imputers.impute(d, cfg.imputer)
-    if method is MethodKind.DR_W and mu_hat is None:
-        mu_hat = imputers.impute_lowdim(d)
+    nu_hat, mu_hat, prop = _nuisances(d, (method,), cfg, nu_hat, mu_hat, prop)
     source = _nu_source(method, nu_hat, mu_hat)
     delta, reasons = None, None
     if method in _DR:
-        if prop is None:
-            prop = propensity.fit_logistic_columns(
-                d.mask, d.w, cfg.prop_tol, cfg.prop_max_iter, cfg.prop_clip
-            )
         reasons = np.where(prop.diverged, "propensity IRLS diverged", "").astype(object)
         delta = np.where(prop.diverged, 1.0, prop.delta_hat)
     return _estimate(
@@ -404,7 +403,7 @@ def infer_cross_fit(
             w_train, w_test = np.ones((train.sum(), 1)), np.ones((test.sum(), 1))
         else:
             w_train, w_test = d.w[train], d.w[test]
-        coef = _ols_columns(w_train, d.y_obs[train], "homoskedastic", c[train])[0]
+        coef = _masked_least_squares(w_train, d.y_obs[train], c[train])[0]
         nu[test] = w_test @ coef.T
 
     reasons = np.full(d.p, "", dtype=object)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._linalg import _masked_least_squares
 from .data_model import Dataset
 from .errors import DataError
 
@@ -67,21 +68,18 @@ def impute_mean(d: Dataset) -> ImputedMatrix:
 
 
 def _lowdim_matrix(d: Dataset) -> np.ndarray:
-    """Per-column OLS of observed outcomes on W, evaluated at all rows."""
-    means = _column_means(d)
-    nu = np.empty((d.n, d.p))
-    for j in range(d.p):
-        obs = d.mask[:, j] == 1
-        if obs.sum() <= d.q:
-            if obs.sum() > 0:
-                warnings.warn(
-                    f"column {d.peptide_ids[j]!r}: observed count <= q, "
-                    f"falling back to mean imputation"
-                )
-            nu[:, j] = means[j]
-            continue
-        coef = np.linalg.lstsq(d.w[obs], d.y_obs[obs, j], rcond=None)[0]
-        nu[:, j] = d.w @ coef
+    """Per-column OLS of observed outcomes on W, evaluated at all rows; a
+    column observed at most q times gets its observed mean."""
+    nu = np.tile(_column_means(d), (d.n, 1))
+    counts = d.mask.sum(axis=0)
+    for j in np.flatnonzero((counts > 0) & (counts <= d.q)):
+        warnings.warn(
+            f"column {d.peptide_ids[j]!r}: observed count <= q, "
+            f"falling back to mean imputation"
+        )
+    fit = counts > d.q
+    coef = _masked_least_squares(d.w, d.y_obs[:, fit], d.mask[:, fit])[0]
+    nu[:, fit] = d.w @ coef.T
     return nu
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import _outer_rows, _solve_or_pinv
 from .errors import DataError, NumericalError
 
 # a coefficient norm beyond this is reported as IRLS divergence
@@ -46,27 +47,6 @@ def _eta(w: np.ndarray, coef: np.ndarray) -> np.ndarray:
 def _row_dots(x: np.ndarray, vt: np.ndarray) -> np.ndarray:
     """(p, m) sums over i of x[j, i] * vt[k, i], one row reduction each."""
     return np.stack([(x * v).sum(axis=-1) for v in vt], axis=-1)
-
-
-def _solve_or_pinv(a: np.ndarray, b: np.ndarray):
-    """Solve the stacked systems a[j] x[j] = b[j]; a is (p, q, q), b (p, q, r).
-
-    A system whose LU factorization meets an exactly zero pivot takes the
-    minimum-norm least-squares solution instead, as ``lstsq`` would.
-    Returns (x, singular), singular a (p,) mask of those systems.
-    """
-    try:
-        return np.linalg.solve(a, b), np.zeros(a.shape[0], dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    singular = np.linalg.slogdet(a)[0] == 0
-    x = np.empty(b.shape)
-    regular = ~singular
-    if regular.any():
-        x[regular] = np.linalg.solve(a[regular], b[regular])
-    pinv = np.linalg.pinv(a[singular], rcond=np.finfo(float).eps * a.shape[-1])
-    x[singular] = np.matmul(pinv, b[singular])
-    return x, singular
 
 
 @dataclass(frozen=True)
@@ -162,7 +142,7 @@ def fit_logistic_columns(
     diverged = np.zeros(p, dtype=bool)
 
     wt = np.ascontiguousarray(w.T)
-    wwt = (wt[:, None, :] * wt[None, :, :]).reshape(q * q, n)
+    wwt = _outer_rows(w).T
 
     cols = np.flatnonzero(~separated)  # the active columns and their state
     ct = np.ascontiguousarray(c[:, cols].T)

@@ -9,17 +9,16 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtri
 
-from . import dr_inference, imputers, multiple_testing, propensity
+from . import dr_inference, multiple_testing
 from .data_model import Dataset, MethodKind
 from .dr_inference import InferenceConfig
 from .errors import DataError, NumericalError
-from .imputers import ImputerConfig
 
 MAR_MISS_CAP = 0.5  # P(C=0) = e^x / (2(1+e^x)) stays below 1/2
 
@@ -227,19 +226,7 @@ class BenchResult:
 
 def _run_rep(cfg: SimConfig, rep: int, methods, inf_cfg: InferenceConfig):
     d, truth = gen_dataset(cfg, rep)
-    needs_aug = any(dr_inference._needs_augmented(m) for m in methods)
-    nu_aug = imputers.impute(d, inf_cfg.imputer) if needs_aug else None
-    mu_low = (
-        imputers.impute_lowdim(d) if MethodKind.DR_W in methods else None
-    )
-    needs_prop = any(m in (MethodKind.DR_W, MethodKind.DR_UW) for m in methods)
-    prop = (
-        propensity.fit_logistic_columns(
-            d.mask, d.w, inf_cfg.prop_tol, inf_cfg.prop_max_iter, inf_cfg.prop_clip
-        )
-        if needs_prop
-        else None
-    )
+    nu_aug, mu_low, prop = dr_inference._nuisances(d, methods, inf_cfg)
 
     out = {}
     for m in methods:
@@ -271,27 +258,27 @@ def run_benchmark(
     """Generate, analyze, and score every repetition.
 
     Each repetition owns a seed substream derived from (seed, rep), so the
-    result is identical for any thread count.
+    result is identical for any thread count.  A repetition that raises
+    DataError or NumericalError is recorded in ``failed_reps``, with
+    threads as without.
     """
     methods = tuple(methods)
     inf_cfg = inf_cfg or InferenceConfig(target="a")
-    reps = range(cfg.reps)
-    results = [None] * cfg.reps
-    failed = []
 
     def work(rep):
-        return _run_rep(cfg, rep, methods, inf_cfg)
+        try:
+            return _run_rep(cfg, rep, methods, inf_cfg), None
+        except (DataError, NumericalError) as exc:
+            return None, (rep, str(exc))
 
+    reps = range(cfg.reps)
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            for rep, res in zip(reps, ex.map(work, reps)):
-                results[rep] = res
+            outcomes = list(ex.map(work, reps))
     else:
-        for rep in reps:
-            try:
-                results[rep] = work(rep)
-            except (DataError, NumericalError) as exc:
-                failed.append((rep, str(exc)))
+        outcomes = [work(rep) for rep in reps]
+    results = [res for res, _ in outcomes]
+    failed = [why for _, why in outcomes if why is not None]
 
     fdr = {(m, c): [] for m in methods for c in cfg.cutoffs}
     tpr = {(m, c): [] for m in methods for c in cfg.cutoffs}

@@ -3,8 +3,9 @@
 One column per call, with the arithmetic of the original loop
 implementation: ``fit_logistic`` below is that IRLS verbatim (BLAS dot
 products, ``lstsq`` on a singular Hessian), least squares inverts W'W per
-column, and p-values come from ``scipy.stats``.  Tests compare the batched
-estimators against these loops.
+column, the lowdim imputer runs ``lstsq`` per column, and p-values come
+from ``scipy.stats``.  Tests compare the batched estimators against these
+loops.
 """
 import numpy as np
 from scipy import stats
@@ -48,6 +49,20 @@ def fit_logistic(c, w, tol=1e-8, max_iter=100, clip_floor=0.01):
             break
         ll = ll_new
     return beta, np.clip(_sigmoid(w @ beta), clip_floor, 1.0)
+
+
+def lowdim(d):
+    """The lowdim imputer's fitted means: one ``lstsq`` per column on its
+    observed rows, the observed mean where a column has at most q."""
+    nu = np.empty((d.n, d.p))
+    for j in range(d.p):
+        obs = d.mask[:, j] == 1
+        if obs.sum() <= d.q:
+            nu[:, j] = d.y_obs[obs, j].mean() if obs.any() else 0.0
+            continue
+        coef = np.linalg.lstsq(d.w[obs], d.y_obs[obs, j], rcond=None)[0]
+        nu[:, j] = d.w @ coef
+    return nu
 
 
 def ols(y, w, tcol, variance_mode):

@@ -1,17 +1,20 @@
 """The column-batched core against single-column fits and reference loops."""
 import os
 import re
+import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from drpi.cli import parse_and_dispatch
+from drpi import imputers
+from drpi.cli import build_parser, parse_and_dispatch
 from drpi.data_model import MethodKind, SkipRecord, write_dataset
 from drpi.dr_inference import InferenceConfig, infer_all, infer_columns, infer_cross_fit
-from drpi.imputers import ImputerConfig, impute, impute_lowdim
+from drpi.imputers import ImputerConfig, impute, impute_lowdim, impute_soft
 from drpi.propensity import fit_logistic, fit_logistic_columns
 from drpi.sim_bench import SimConfig, gen_dataset
 from tests import reference_loops as ref
@@ -104,6 +107,57 @@ def test_cross_fit_matches_reference_loop(method, backend):
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
 
 
+# ------------------------------------------------------ lowdim imputer
+
+
+def _singular_design():
+    """Column 1 is observed only where a == 1, so its observed design
+    cannot separate the intercept from a; column 2 is observed q = 3 times
+    and column 3 never."""
+    rng = np.random.default_rng(1)
+    n, p = 120, 4
+    a = rng.integers(0, 2, size=n).astype(float)
+    w = np.column_stack([np.ones(n), a, rng.uniform(size=n)])
+    mask = (rng.random((n, p)) < 0.8).astype(np.int8)
+    mask[:, 1] = a == 1
+    mask[:, 2] = np.arange(n) < 3
+    mask[:, 3] = 0
+    return make_dataset(rng.normal(size=(n, p)), mask, w, covariate_names=("intercept", "a", "x"))
+
+
+def _warnings_of(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("which", ["wide", "desk", "singular"])
+def test_lowdim_matches_reference_loop(which, wide, desk):
+    d = {"wide": wide, "desk": desk[0], "singular": _singular_design()}[which]
+    got, _ = _warnings_of(impute_lowdim, d)
+    np.testing.assert_allclose(got.nu_hat, ref.lowdim(d), rtol=0, atol=1e-12)
+
+
+def test_lowdim_fallback_keeps_its_warnings():
+    _, caught = _warnings_of(impute_lowdim, _singular_design())
+    assert caught == [
+        "1 all-missing column(s) imputed as zero",
+        "column 'p2': observed count <= q, falling back to mean imputation",
+    ]
+
+
+def test_soft_impute_moves_by_rounding_only(monkeypatch):
+    """Soft-impute residualizes on the lowdim fit; the batched fit moves its
+    output by rounding only, on the analyze-soft shape (200 x 30)."""
+    cfg = ImputerConfig(backend="soft")
+    data = [gen_dataset(SimConfig(model=3, n=200, p=30, seed=s))[0] for s in range(6)]
+    got = [impute_soft(d, cfg).nu_hat for d in data]
+    monkeypatch.setattr(imputers, "_lowdim_matrix", ref.lowdim)
+    for d, nu in zip(data, got):
+        np.testing.assert_allclose(nu, impute_soft(d, cfg).nu_hat, rtol=0, atol=1e-10)
+
+
 # ------------------------------------------------------ per-column failure
 
 
@@ -185,3 +239,13 @@ def test_readme_quick_start_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_commands_parse():
+    text = (ROOT / "README.md").read_text()
+    lines = "".join(re.findall(r"```sh\n(.*?)```", text, flags=re.S)).replace("\\\n", " ")
+    commands = [shlex.split(line, comments=True) for line in lines.splitlines()]
+    commands = [argv for argv in commands if argv and argv[0] == "drpi"]
+    assert [argv[1] for argv in commands] == ["analyze", "simulate", "toy-power"]
+    for argv in commands:
+        build_parser().parse_args(argv[1:])

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from drpi.cli import _parse_rho_grid, emit_volcano_data, parse_and_dispatch
-from drpi.data_model import MethodKind, PeptideInference
+from drpi.data_model import (
+    Dataset, MethodKind, PeptideInference, filter_by_rate, load_dataset, write_dataset,
+)
+from drpi.dr_inference import InferenceConfig, infer_all
+from drpi.imputers import ImputedMatrix, ImputerConfig, impute
+from drpi.sim_bench import SimConfig, gen_dataset
 
 
 def run_cli(*argv):
@@ -110,6 +115,36 @@ def test_analyze_deterministic_output(csv_pair, tmp_path):
     assert run_cli(*args(str(p1))) == 0
     assert run_cli(*args(str(p2))) == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_analyze_imputes_on_the_feed_set(tmp_path):
+    """With --obs-threshold the imputer sees every feed column; inference
+    runs on the kept columns only."""
+    d, _ = gen_dataset(SimConfig(model=2, n=120, p=30, mcar_prob=0.1, seed=4))
+    mask = d.mask.copy()
+    mask[::2, :6] = 0  # observation rate about 0.45: feed, not kept
+    d = Dataset(np.where(mask == 1, d.y_obs, np.nan), mask, d.w, d.peptide_ids,
+                d.sample_ids, d.covariate_names)
+    y_csv, w_csv, out = tmp_path / "y.csv", tmp_path / "w.csv", tmp_path / "r.csv"
+    write_dataset(d, y_csv, w_csv)
+    code = run_cli(
+        "analyze", "--outcomes", str(y_csv), "--covariates", str(w_csv), "--target", "a",
+        "--imputer", "knn", "--obs-threshold", "0.7", "--out", str(out), "--quiet",
+    )
+    assert code == 0
+    with open(out, newline="") as fh:
+        got = [(r["peptide_id"], float(r["beta"]), float(r["se"]), float(r["p_value"]))
+               for r in csv.DictReader(fh)]
+
+    kept, feed = filter_by_rate(load_dataset(y_csv, w_csv), 0.7)
+    assert feed.p == 30 and kept.p == 24
+    cfg = InferenceConfig(target="a", imputer=ImputerConfig(backend="knn"))
+    nu = impute(feed, cfg.imputer).nu_hat[:, 6:]
+    want, _ = infer_all(kept, MethodKind.DR_UW, cfg,
+                        nu_hat=ImputedMatrix(nu, backend="knn"))
+    assert got == [(r.peptide_id, r.beta, r.se, r.p_value) for r in want]
+    kept_only, _ = infer_all(kept, MethodKind.DR_UW, cfg)
+    assert [r.beta for r in kept_only] != [r.beta for r in want]
 
 
 def test_config_file_flag_precedence(csv_pair, tmp_path):

@@ -175,6 +175,21 @@ def test_benchmark_thread_identical(tmp_path):
         np.testing.assert_array_equal(r1.fdr[key], r2.fdr[key])
 
 
+def test_failed_reps_recorded_for_any_thread_count(tmp_path):
+    """A non-SPD noise covariance fails every repetition."""
+    p = 5
+    cov = tmp_path / "cov.csv"
+    cov.write_text("\n".join(
+        ",".join("1.0" if i == j else "2.0" for j in range(p)) for i in range(p)
+    ))
+    cfg = SimConfig(model=3, n=60, p=p, seed=1, reps=3, cov_csv=str(cov))
+    inf = InferenceConfig(target="a", imputer=ImputerConfig(backend="lowdim"))
+    serial = run_benchmark(cfg, (MethodKind.DR_UW,), inf_cfg=inf, threads=0)
+    threaded = run_benchmark(cfg, (MethodKind.DR_UW,), inf_cfg=inf, threads=2)
+    assert [rep for rep, _ in serial.failed_reps] == [0, 1, 2]
+    assert threaded.failed_reps == serial.failed_reps
+
+
 def test_benchmark_full_method_zero_fdr_high_tpr():
     cfg = SimConfig(model=2, n=150, p=40, seed=12, reps=3, signal_c=2.0)
     inf = InferenceConfig(target="a", imputer=ImputerConfig(backend="lowdim"))
