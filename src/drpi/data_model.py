@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,12 +51,6 @@ class PeptideInference:
 class SkipRecord:
     peptide_id: str
     reason: str
-
-
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float) if a.dtype != np.int8 else a
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,8 @@ class ImputerConfig:
     def __post_init__(self):
         if self.k_neighbors < 1:
             raise DataError("k_neighbors must be >= 1")
+        if self.rank_penalty < 0:
+            raise DataError("rank_penalty (soft-impute lambda) must be >= 0")
 
 
 def _column_means(d: Dataset) -> np.ndarray:
@@ -95,14 +97,29 @@ SOFT_LAMBDA_FRACTION = 0.1
 
 
 def _svd_soft_threshold(x: np.ndarray, lam: float, max_rank: int):
-    u, s, vt = np.linalg.svd(x, full_matrices=False)
-    s = np.maximum(s - lam, 0.0)
-    if max_rank < s.size:
-        s[max_rank:] = 0.0
-    r = int((s > 0).sum())
+    """Singular-value soft-thresholding of x, keeping at most max_rank
+    components; returns (thresholded matrix, its rank).
+
+    The singular values and right (tall x) or left (wide x) singular vectors
+    come from one eigendecomposition of the smaller Gram matrix, and the
+    kept components are rebuilt from x itself, so the n x p factor of an SVD
+    is never formed.  Squaring the conditioning perturbs singular values
+    near sqrt(eps) * sigma_1 by about their own size, which matters only
+    for a lambda that small.
+    """
+    tall = x.shape[0] >= x.shape[1]
+    evals, vecs = np.linalg.eigh(x.T @ x if tall else x @ x.T)
+    s = np.sqrt(np.clip(evals[::-1], 0.0, None))
+    shrunk = np.maximum(s - lam, 0.0)
+    shrunk[max_rank:] = 0.0
+    r = int((shrunk > 0).sum())
     if r == 0:
-        return np.zeros_like(x)
-    return (u[:, :r] * s[:r]) @ vt[:r]
+        return np.zeros_like(x), 0
+    vecs = vecs[:, ::-1][:, :r]
+    scale = shrunk[:r] / s[:r]
+    if tall:
+        return ((x @ vecs) * scale) @ vecs.T, r
+    return vecs @ ((vecs.T @ x) * scale[:, None]), r
 
 
 def impute_soft(d: Dataset, cfg: ImputerConfig = None) -> ImputedMatrix:
@@ -111,7 +128,9 @@ def impute_soft(d: Dataset, cfg: ImputerConfig = None) -> ImputedMatrix:
     Observed entries are residualized on W column-wise; soft-impute then
     iterates SVD soft-thresholding on the residual matrix until the relative
     Frobenius change falls below tol.  The fitted means are the W-regression
-    fit plus the completed residuals.
+    fit plus the completed residuals.  ``diagnostics`` records ``lambda``,
+    ``iterations``, ``rank`` (of the completed residuals) and ``rel_change``
+    (the last relative Frobenius change).
     """
     cfg = cfg or ImputerConfig(backend="soft")
     if cfg.max_rank > min(d.n, d.p):
@@ -126,21 +145,33 @@ def impute_soft(d: Dataset, cfg: ImputerConfig = None) -> ImputedMatrix:
 
     z = np.zeros_like(resid)
     converged = False
-    for _ in range(cfg.max_iter):
+    iterations, rank, rel_change = 0, 0, float("nan")
+    for iterations in range(1, cfg.max_iter + 1):
         filled = np.where(obs, resid, z)
-        z_new = _svd_soft_threshold(filled, lam, cfg.max_rank)
+        z_new, rank = _svd_soft_threshold(filled, lam, cfg.max_rank)
         delta = np.linalg.norm(z_new - z)
         z = z_new
-        if delta <= cfg.tol * max(np.linalg.norm(z), 1.0):
+        scale = max(np.linalg.norm(z), 1.0)
+        rel_change = float(delta / scale)
+        if delta <= cfg.tol * scale:
             converged = True
             break
     if not converged:
-        warnings.warn("soft-impute did not converge; returning last iterate")
+        warnings.warn(
+            f"soft-impute did not converge in {iterations} iterations "
+            f"(relative change {rel_change:.3g}, tol {cfg.tol:g}); "
+            f"returning last iterate"
+        )
     return ImputedMatrix(
         wfit + z,
         backend="soft",
         converged=converged,
-        diagnostics={"lambda": lam},
+        diagnostics={
+            "lambda": lam,
+            "iterations": iterations,
+            "rank": rank,
+            "rel_change": rel_change,
+        },
     )
 
 

@@ -3,9 +3,9 @@
 One column per call, with the arithmetic of the original loop
 implementation: ``fit_logistic`` below is that IRLS verbatim (BLAS dot
 products, ``lstsq`` on a singular Hessian), least squares inverts W'W per
-column, the lowdim imputer runs ``lstsq`` per column, and p-values come
-from ``scipy.stats``.  Tests compare the batched estimators against these
-loops.
+column, the lowdim imputer runs ``lstsq`` per column, soft-impute thresholds
+through a full SVD, and p-values come from ``scipy.stats``.  Tests compare
+the batched estimators against these loops.
 """
 import numpy as np
 from scipy import stats
@@ -63,6 +63,20 @@ def lowdim(d):
         coef = np.linalg.lstsq(d.w[obs], d.y_obs[obs, j], rcond=None)[0]
         nu[:, j] = d.w @ coef
     return nu
+
+
+def svd_soft_threshold(x, lam, max_rank):
+    """(matrix, rank) of singular-value soft-thresholding through one full
+    thin SVD, the original implementation; it also returns the rank so that
+    it can stand in for the Gram-eigendecomposition version."""
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    s = np.maximum(s - lam, 0.0)
+    if max_rank < s.size:
+        s[max_rank:] = 0.0
+    r = int((s > 0).sum())
+    if r == 0:
+        return np.zeros_like(x), 0
+    return (u[:, :r] * s[:r]) @ vt[:r], r
 
 
 def ols(y, w, tcol, variance_mode):

@@ -94,20 +94,16 @@ def test_lowdim_columns_lie_in_w_span():
 
 
 def svt_oracle(x, lam, max_rank):
-    """Singular-value soft-thresholding via eigendecomposition of X'X.
+    """Singular-value soft-thresholding via a full np.linalg.svd.
 
-    Deliberately avoids np.linalg.svd so the check does not share code
-    paths with the implementation under test.
+    The implementation thresholds through an eigendecomposition of the
+    smaller Gram matrix; the oracle deliberately takes the SVD route so the
+    check does not share code paths with the implementation under test.
     """
-    evals, v = np.linalg.eigh(x.T @ x)
-    order = np.argsort(evals)[::-1]
-    evals, v = evals[order], v[:, order]
-    sigma = np.sqrt(np.clip(evals, 0.0, None))
-    keep = sigma > 1e-12
-    u = (x @ v[:, keep]) / sigma[keep]
-    shrunk = np.clip(sigma[keep] - lam, 0.0, None)
+    u, sigma, vt = np.linalg.svd(x, full_matrices=False)
+    shrunk = np.clip(sigma - lam, 0.0, None)
     shrunk[max_rank:] = 0.0
-    return (u * shrunk) @ v[:, keep].T
+    return (u * shrunk) @ vt
 
 
 def rank1_als_oracle(y, mask, iters=2000):
@@ -172,7 +168,7 @@ def test_soft_fully_observed_hand_svt():
 
 def test_soft_satisfies_fixed_point_equation():
     """At convergence Z = SVT(P_obs(R) + P_miss(Z), lam), verified with an
-    independent eigendecomposition-based SVT."""
+    independent SVD-based SVT."""
     rng = np.random.default_rng(4)
     n, p = 20, 8
     y = rng.normal(size=(n, p)) + np.outer(rng.normal(size=n), rng.normal(size=p))
@@ -189,6 +185,44 @@ def test_soft_satisfies_fixed_point_equation():
     filled = np.where(mask == 1, resid_obs, z)
     z_next = svt_oracle(filled, lam, max_rank)
     np.testing.assert_allclose(z, z_next, atol=1e-8)
+
+
+def test_soft_diagnostics_converged_and_capped():
+    rng = np.random.default_rng(4)
+    n, p = 20, 8
+    y = rng.normal(size=(n, p)) + np.outer(rng.normal(size=n), rng.normal(size=p))
+    mask = (rng.random((n, p)) > 0.25).astype(np.int8)
+    mask[:3] = 1
+    w = np.column_stack([np.ones(n), rng.normal(size=n)])
+    d = make_dataset(y, mask, w)
+    cfg = ImputerConfig(backend="soft", rank_penalty=1.5, max_rank=5, tol=1e-8)
+
+    out = impute_soft(d, cfg)
+    diag = out.diagnostics
+    assert out.converged
+    assert set(diag) == {"lambda", "iterations", "rank", "rel_change"}
+    assert diag["lambda"] == 1.5
+    assert 3 < diag["iterations"] < cfg.max_iter
+    assert diag["rel_change"] <= cfg.tol
+    sigma = np.linalg.svd(out.nu_hat - impute_lowdim(d).nu_hat, compute_uv=False)
+    assert 0 < diag["rank"] <= cfg.max_rank
+    assert diag["rank"] == (sigma > 1e-8 * sigma[0]).sum()
+
+    capped = ImputerConfig(backend="soft", rank_penalty=1.5, max_rank=5, tol=1e-8, max_iter=3)
+    with pytest.warns(UserWarning, match="did not converge in 3 iterations") as caught:
+        out = impute_soft(d, capped)
+    diag = out.diagnostics
+    assert not out.converged
+    assert diag["iterations"] == 3
+    assert diag["rel_change"] > capped.tol
+    assert f"relative change {diag['rel_change']:.3g}" in str(caught[0].message)
+    assert 0 < diag["rank"] <= capped.max_rank
+
+
+def test_soft_negative_lambda_rejected():
+    with pytest.raises(DataError, match="rank_penalty"):
+        ImputerConfig(backend="soft", rank_penalty=-1.0)
+    assert np.isnan(ImputerConfig(backend="soft").rank_penalty)
 
 
 def test_soft_full_shrinkage_equals_lowdim():
