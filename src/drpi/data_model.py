@@ -153,6 +153,27 @@ def _read_csv(path) -> tuple:
     return rows[0], rows[1:]
 
 
+def _read_matrix(path, ids, n: int, what: str, parse=float) -> np.ndarray:
+    """(n, len(ids)) float array from a CSV whose header must be ``ids``;
+    every cell is read with ``parse``."""
+    header, rows = _read_csv(path)
+    p = len(ids)
+    if len(header) != p or len(rows) != n:
+        raise DataError(f"{what} is {len(rows)}x{len(header)}, expected {n}x{p}")
+    for got, want in zip(header, ids):
+        if got != want:
+            raise DataError(f"{what} header has {got!r} where {want!r} is expected")
+    out = np.empty((n, p))
+    for i, row in enumerate(rows):
+        if len(row) != p:
+            raise DataError(f"{what} row {i} has {len(row)} cells, expected {p}")
+        try:
+            out[i] = [parse(c) for c in row]
+        except ValueError as exc:
+            raise DataError(f"{what} row {i}: {exc}") from None
+    return out
+
+
 def load_dataset(
     outcome_path,
     covariate_path,
@@ -164,7 +185,8 @@ def load_dataset(
 
     Outcome CSV: header row of peptide ids, one row per sample.  A cell is
     missing when it is empty or equals ``missing_token``.  An optional mask
-    CSV of 0/1 entries overrides token detection.
+    CSV of 0/1 entries, with the outcome CSV's header, overrides token
+    detection.
     """
     pep_ids, y_rows = _read_csv(outcome_path)
     cov_names, w_rows = _read_csv(covariate_path)
@@ -193,11 +215,7 @@ def load_dataset(
                 ) from None
 
     if mask_path is not None:
-        _, m_rows = _read_csv(mask_path)
-        m = np.array([[int(c) for c in row] for row in m_rows], dtype=np.int8)
-        if m.shape != (n, p):
-            raise DataError("mask CSV shape does not match outcome CSV")
-        mask = m
+        mask = _read_matrix(mask_path, pep_ids, n, "mask CSV", parse=int)
         y[mask == 0] = np.nan
 
     w = np.empty((len(w_rows), len(cov_names)))

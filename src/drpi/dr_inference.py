@@ -28,7 +28,7 @@ from ._linalg import _masked_least_squares, _outer_rows
 from .data_model import Dataset, MethodKind, PeptideInference, SkipRecord
 from .errors import DataError, NumericalError
 from .imputers import ImputedMatrix, ImputerConfig
-from .propensity import PropensityColumns, PropensityFit
+from .propensity import PropensityColumns
 
 _DR = (MethodKind.DR_W, MethodKind.DR_UW)
 
@@ -306,49 +306,6 @@ def infer_all(
     """``infer_columns`` as records: (results, skips) in column order."""
     est = infer_columns(d, method, cfg, nu_hat, mu_hat, prop, oracle)
     return _records(d.peptide_ids, method, est)
-
-
-def infer_peptide(
-    d: Dataset,
-    j: int,
-    method: MethodKind,
-    cfg: InferenceConfig,
-    nu_hat: ImputedMatrix = None,
-    mu_hat: ImputedMatrix = None,
-    prop: PropensityFit = None,
-    oracle: np.ndarray = None,
-):
-    """Run one estimator on column j; returns PeptideInference or SkipRecord.
-
-    Unlike ``infer_all`` it fits no imputer: the methods that need one
-    require ``nu_hat`` (``mu_hat`` for dr_w).
-    """
-    col = [j]
-    if method is MethodKind.FULL and oracle is None:
-        raise DataError("method 'full' requires an oracle complete matrix")
-    source = _nu_source(method, nu_hat, mu_hat)
-    if source is None and method not in (MethodKind.FULL, MethodKind.COMPLETE):
-        raise DataError(f"{method.value} requires an imputed matrix")
-    delta = None
-    if method in _DR:
-        if prop is None:
-            prop = propensity.fit_logistic(
-                d.mask[:, j], d.w, cfg.prop_tol, cfg.prop_max_iter, cfg.prop_clip
-            )
-        delta = prop.delta_hat[:, None]
-    est = _estimate(
-        method,
-        d.w,
-        d.covariate_index(cfg.target),
-        cfg.variance_mode or _default_variance(method),
-        d.y_obs[:, col],
-        d.mask[:, col],
-        nu=None if source is None else source.nu_hat[:, col],
-        delta=delta,
-        oracle=None if oracle is None else oracle[:, col],
-    )
-    results, skips = _records([d.peptide_ids[j]], method, est)
-    return (results or skips)[0]
 
 
 def infer_cross_fit(

@@ -7,14 +7,13 @@ generative model) can be ingested through ``load_external_nu``.
 """
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._linalg import _masked_least_squares
-from .data_model import Dataset
+from .data_model import Dataset, _read_matrix
 from .errors import DataError
 
 
@@ -175,10 +174,9 @@ def impute_soft(d: Dataset, cfg: ImputerConfig = None) -> ImputedMatrix:
     )
 
 
-def _pairwise_stats(y, mask):
-    """Co-observed counts, pairwise means, and correlations between columns."""
-    obs = mask.astype(float)
-    yz = np.where(mask == 1, y, 0.0)
+def _pairwise_stats(obs, yz):
+    """Co-observed counts, pairwise means, and correlations between columns,
+    from the 0/1 observation matrix and the outcomes zeroed where missing."""
     counts = obs.T @ obs  # co-observed counts
     sums_a = yz.T @ obs  # sum of col a over rows co-observed with col b
     prods = yz.T @ yz
@@ -192,79 +190,60 @@ def _pairwise_stats(y, mask):
     return counts, mean_a, corr
 
 
-def impute_knn(
-    d: Dataset, cfg: ImputerConfig = None, two_step: bool = False
-) -> ImputedMatrix:
+def impute_knn(d: Dataset, cfg: ImputerConfig = None) -> ImputedMatrix:
     """Mean of the k most-correlated peptide columns, mean-adjusted per pair.
 
     Similarity is the Pearson correlation over co-observed rows (minimum
     overlap 3, otherwise the pair is ignored).  Transferred values are
     shifted by the pairwise co-observed column means so a duplicate column
-    reproduces its twin exactly.  The two-step variant follows with a
-    closest-samples pass over the filled matrix.
+    reproduces its twin exactly.  With ``cfg.backend == "knn2"`` the missing
+    cells are then re-imputed from the k closest samples of the filled
+    matrix.
     """
     cfg = cfg or ImputerConfig(backend="knn")
     k = cfg.k_neighbors
     if k >= d.p:
         raise DataError("k_neighbors must be < p")
-    counts, mean_a, corr = _pairwise_stats(d.y_obs, d.mask)
+    obs = d.mask.astype(float)
+    yz = np.where(d.mask == 1, d.y_obs, 0.0)
+    counts, mean_a, corr = _pairwise_stats(obs, yz)
     valid = counts >= 3  # overlap below 3 rows: pair carries no signal
     sim = np.where(valid, corr, -np.inf)
     np.fill_diagonal(sim, -np.inf)  # a column is never its own neighbor
 
-    col_means = _column_means(d)
-    nu = np.empty((d.n, d.p))
-    yz = np.where(d.mask == 1, d.y_obs, 0.0)
-    order = np.argsort(-sim, axis=1, kind="stable")
-    for j in range(d.p):
-        neigh = [l for l in order[j, :k] if np.isfinite(sim[j, l])]
-        if not neigh:
-            nu[:, j] = col_means[j]
-            continue
-        # transferred value from neighbor l at row i:
-        #   mean_j|co(j,l) + (y_il - mean_l|co(j,l))
-        vals = np.zeros(d.n)
-        wts = np.zeros(d.n)
-        for l in neigh:
-            ok = d.mask[:, l] == 1
-            shift = mean_a[j, l] - mean_a[l, j]
-            vals[ok] += yz[ok, l] + shift
-            wts[ok] += 1.0
-        have = wts > 0
-        nu[have, j] = vals[have] / wts[have]
-        nu[~have, j] = col_means[j]
+    # nbr[j, l]: column l is one of j's k most similar, with finite similarity
+    top = np.argsort(-sim, axis=1, kind="stable")[:, :k]
+    nbr = np.zeros((d.p, d.p), dtype=bool)
+    nbr[np.arange(d.p)[:, None], top] = True
+    nbr &= np.isfinite(sim)
+    # transferred value from neighbor l at row i:
+    #   mean_j|co(j,l) + (y_il - mean_l|co(j,l));
+    # np.where, not a product: never co-observed pairs have NaN means
+    shift = np.where(nbr, mean_a - mean_a.T, 0.0)
+    wts = obs @ nbr.T
+    vals = yz @ nbr.T + obs @ shift.T
+    nu = np.where(wts > 0, vals / np.maximum(wts, 1.0), _column_means(d))
 
-    if two_step:
+    backend = "knn2" if cfg.backend == "knn2" else "knn"
+    if backend == "knn2":
         # fill missing cells, then re-impute them from the closest samples
         filled = np.where(d.mask == 1, d.y_obs, nu)
         centered = filled - filled.mean(axis=1, keepdims=True)
         norms = np.linalg.norm(centered, axis=1)
         norms[norms == 0] = 1.0
-        rowsim = (centered / norms[:, None]) @ (centered / norms[:, None]).T
+        unit = centered / norms[:, None]
+        rowsim = unit @ unit.T
         np.fill_diagonal(rowsim, -np.inf)
-        ksamp = min(cfg.k_neighbors, d.n - 1)
-        nn = np.argsort(-rowsim, axis=1, kind="stable")[:, :ksamp]
-        for i in range(d.n):
-            miss = d.mask[i] == 0
-            if miss.any():
-                nu[i, miss] = filled[nn[i]][:, miss].mean(axis=0)
+        nn = np.argsort(-rowsim, axis=1, kind="stable")[:, : min(k, d.n - 1)]
+        nu = np.where(d.mask == 1, nu, filled[nn].mean(axis=1))
 
-    return ImputedMatrix(nu, backend="knn2" if two_step else "knn")
+    return ImputedMatrix(nu, backend=backend)
 
 
 def load_external_nu(path, d: Dataset) -> ImputedMatrix:
-    """Ingest an externally imputed matrix CSV (header = peptide ids)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
-    if len(header) != d.p or len(body) != d.n:
-        raise DataError(
-            f"external matrix is {len(body)}x{len(header)}, expected {d.n}x{d.p}"
-        )
-    try:
-        nu = np.array([[float(c) for c in row] for row in body])
-    except ValueError:
-        raise DataError("non-numeric cell in external imputed matrix") from None
+    """Ingest an externally imputed matrix CSV whose header is d's peptide
+    ids, in d's column order."""
+    nu = _read_matrix(path, d.peptide_ids, d.n, "external matrix")
     return ImputedMatrix(nu, backend="external")
 
 
@@ -276,10 +255,8 @@ def impute(d: Dataset, cfg: ImputerConfig) -> ImputedMatrix:
         return impute_lowdim(d)
     if cfg.backend == "soft":
         return impute_soft(d, cfg)
-    if cfg.backend == "knn":
+    if cfg.backend in ("knn", "knn2"):
         return impute_knn(d, cfg)
-    if cfg.backend == "knn2":
-        return impute_knn(d, cfg, two_step=True)
     if cfg.backend == "external":
         return load_external_nu(cfg.external_path, d)
     raise DataError(f"unknown imputer backend {cfg.backend!r}")

@@ -4,13 +4,15 @@ One column per call, with the arithmetic of the original loop
 implementation: ``fit_logistic`` below is that IRLS verbatim (BLAS dot
 products, ``lstsq`` on a singular Hessian), least squares inverts W'W per
 column, the lowdim imputer runs ``lstsq`` per column, soft-impute thresholds
-through a full SVD, and p-values come from ``scipy.stats``.  Tests compare
+through a full SVD, the knn imputers loop over columns, neighbours and
+rows, and p-values come from ``scipy.stats``.  Tests compare
 the batched estimators against these loops.
 """
 import numpy as np
 from scipy import stats
 
 from drpi.data_model import MethodKind
+from drpi.imputers import _column_means, _pairwise_stats
 from drpi.propensity import _sigmoid
 
 
@@ -77,6 +79,47 @@ def svd_soft_threshold(x, lam, max_rank):
     if r == 0:
         return np.zeros_like(x), 0
     return (u[:, :r] * s[:r]) @ vt[:r], r
+
+
+def knn(d, k, backend="knn"):
+    """The knn or knn2 imputer's fitted means: for each column, a loop over
+    its k most-correlated columns with finite similarity, then for knn2 a
+    loop over rows averaging the k closest samples at the missing cells."""
+    yz = np.where(d.mask == 1, d.y_obs, 0.0)
+    counts, mean_a, corr = _pairwise_stats(d.mask.astype(float), yz)
+    sim = np.where(counts >= 3, corr, -np.inf)
+    np.fill_diagonal(sim, -np.inf)
+    col_means = _column_means(d)
+    nu = np.empty((d.n, d.p))
+    order = np.argsort(-sim, axis=1, kind="stable")
+    for j in range(d.p):
+        neigh = [l for l in order[j, :k] if np.isfinite(sim[j, l])]
+        if not neigh:
+            nu[:, j] = col_means[j]
+            continue
+        vals = np.zeros(d.n)
+        wts = np.zeros(d.n)
+        for l in neigh:
+            ok = d.mask[:, l] == 1
+            shift = mean_a[j, l] - mean_a[l, j]
+            vals[ok] += yz[ok, l] + shift
+            wts[ok] += 1.0
+        have = wts > 0
+        nu[have, j] = vals[have] / wts[have]
+        nu[~have, j] = col_means[j]
+    if backend == "knn2":
+        filled = np.where(d.mask == 1, d.y_obs, nu)
+        centered = filled - filled.mean(axis=1, keepdims=True)
+        norms = np.linalg.norm(centered, axis=1)
+        norms[norms == 0] = 1.0
+        rowsim = (centered / norms[:, None]) @ (centered / norms[:, None]).T
+        np.fill_diagonal(rowsim, -np.inf)
+        nn = np.argsort(-rowsim, axis=1, kind="stable")[:, : min(k, d.n - 1)]
+        for i in range(d.n):
+            miss = d.mask[i] == 0
+            if miss.any():
+                nu[i, miss] = filled[nn[i]][:, miss].mean(axis=0)
+    return nu
 
 
 def ols(y, w, tcol, variance_mode):

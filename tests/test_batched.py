@@ -14,7 +14,7 @@ from drpi import imputers
 from drpi.cli import build_parser, parse_and_dispatch
 from drpi.data_model import MethodKind, SkipRecord, write_dataset
 from drpi.dr_inference import InferenceConfig, infer_all, infer_columns, infer_cross_fit
-from drpi.imputers import ImputerConfig, impute, impute_lowdim, impute_soft
+from drpi.imputers import ImputerConfig, impute, impute_knn, impute_lowdim, impute_soft
 from drpi.propensity import fit_logistic, fit_logistic_columns
 from drpi.sim_bench import SimConfig, gen_dataset
 from tests import reference_loops as ref
@@ -212,6 +212,62 @@ def test_soft_impute_matches_svd_reference(monkeypatch):
         assert g.converged == w.converged
         assert g.diagnostics["iterations"] == w.diagnostics["iterations"]
         assert g.diagnostics["rank"] == w.diagnostics["rank"]
+
+
+# ------------------------------------------------------ knn imputers
+
+
+def _knn_edge_case(case):
+    """12 x 5 data where columns 0 and 1 are never observed in the same
+    row (their co-observed means are NaN), or where column 4 is observed in
+    two rows only, so no pair with it reaches the 3-row overlap and it has
+    no neighbour with finite similarity."""
+    rng = np.random.default_rng(12)
+    n, p = 12, 5
+    mask = np.ones((n, p), dtype=np.int8)
+    if case == "never_co_observed":
+        mask[:6, 0] = 0
+        mask[6:, 1] = 0
+        mask[[2, 9], 3] = 0
+    else:
+        mask[2:, 4] = 0
+        mask[[1, 5, 8], 2] = 0
+    w = np.column_stack([np.ones(n), rng.normal(size=n)])
+    return make_dataset(rng.normal(size=(n, p)), mask, w)
+
+
+@pytest.mark.parametrize("backend", ["knn", "knn2"])
+@pytest.mark.parametrize("shape", [(200, 300), (60, 20)])
+@pytest.mark.parametrize("model", [1, 3, 4])
+def test_knn_matches_reference_loop(model, shape, backend):
+    n, p = shape
+    d = gen_dataset(SimConfig(model=model, n=n, p=p, seed=model))[0]
+    cfg = ImputerConfig(backend=backend)
+    got = impute(d, cfg)
+    assert got.backend == backend
+    want = ref.knn(d, cfg.k_neighbors, backend)
+    np.testing.assert_allclose(got.nu_hat, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("backend", ["knn", "knn2"])
+@pytest.mark.parametrize("case", ["never_co_observed", "no_finite_neighbour"])
+def test_knn_edge_cases_match_reference_loop(case, backend):
+    d = _knn_edge_case(case)
+    got = impute(d, ImputerConfig(backend=backend, k_neighbors=2)).nu_hat
+    want = ref.knn(d, 2, backend)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    if case == "no_finite_neighbour" and backend == "knn":
+        np.testing.assert_allclose(got[:, 4], d.y_obs[:2, 4].mean(), rtol=0, atol=1e-15)
+
+
+def test_knn2_backend_selects_the_sample_pass():
+    d = gen_dataset(SimConfig(model=3, n=60, p=20, seed=2))[0]
+    cfg = ImputerConfig(backend="knn2")
+    direct, dispatched = impute_knn(d, cfg), impute(d, cfg)
+    assert direct.backend == dispatched.backend == "knn2"
+    np.testing.assert_array_equal(direct.nu_hat, dispatched.nu_hat)
+    one_step = impute_knn(d, ImputerConfig(backend="knn")).nu_hat
+    assert not np.array_equal(direct.nu_hat, one_step)
 
 
 # ------------------------------------------------------ per-column failure

@@ -66,6 +66,53 @@ def test_missing_input_file_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+PEP_IDS = [f"pep{j}" for j in range(8)]  # the csv_pair header; 40 rows
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows(rows)
+
+
+def _analyze_with(csv_pair, tmp_path, flag, path):
+    """Exit code of analyze on csv_pair with a --mask or --external-nu file."""
+    imputer = "external" if flag == "--external-nu" else "lowdim"
+    return run_cli(
+        "analyze", "--outcomes", str(csv_pair[0]), "--covariates", str(csv_pair[1]),
+        "--target", "a", "--imputer", imputer, flag, str(path),
+        "--out", str(tmp_path / "out.csv"), "--quiet",
+    )
+
+
+@pytest.mark.parametrize("bad", ["mask_non_integer", "mask_ragged_row", "external_empty"])
+def test_bad_input_csv_exits_2(bad, csv_pair, tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    rows = [[1] * 8 for _ in range(40)]
+    if bad == "mask_non_integer":
+        rows[3][2] = "0.5"
+    elif bad == "mask_ragged_row":
+        rows[3].pop()
+    if bad == "external_empty":
+        path.write_text("")
+    else:
+        _write_csv(path, PEP_IDS, rows)
+    flag = "--external-nu" if bad.startswith("external") else "--mask"
+    assert _analyze_with(csv_pair, tmp_path, flag, path) == 2
+    assert "drpi: data error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--mask", "--external-nu"])
+def test_reordered_header_rejected(flag, csv_pair, tmp_path, capsys):
+    """A mask or external-nu file of the right shape whose columns are in
+    another order than the outcome CSV's is refused, not misaligned."""
+    path = tmp_path / "m.csv"
+    _write_csv(path, [PEP_IDS[1], PEP_IDS[0]] + PEP_IDS[2:], [[1] * 8 for _ in range(40)])
+    assert _analyze_with(csv_pair, tmp_path, flag, path) == 2
+    assert "'pep1' where 'pep0' is expected" in capsys.readouterr().err
+
+
 def test_version_via_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "drpi.cli", "--version"],

@@ -7,7 +7,6 @@ from drpi.dr_inference import (
     InferenceConfig,
     infer_all,
     infer_cross_fit,
-    infer_peptide,
     ols_sandwich,
     pseudo_outcomes,
 )
@@ -185,9 +184,8 @@ def test_p_values_match_normal_reference():
     mask = np.ones((n, 1), dtype=np.int8)
     d = make_dataset(y.reshape(-1, 1), mask, w)
     cfg = InferenceConfig(target=d.covariate_names[1], variance_mode="sandwich")
-    out = infer_peptide(
-        d, 0, MethodKind.COMPLETE, cfg
-    )
+    (out,), skips = infer_all(d, MethodKind.COMPLETE, cfg)
+    assert not skips
     assert out.p_value == pytest.approx(expected, abs=1e-12)
 
 

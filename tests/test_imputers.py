@@ -300,7 +300,7 @@ def test_knn_no_valid_overlap_falls_back_to_mean():
 def test_knn_two_step_fills_missing_from_samples():
     rng = np.random.default_rng(9)
     d = rand_dataset(rng, n=15, p=6, miss=0.2)
-    nu = impute_knn(d, ImputerConfig(backend="knn2", k_neighbors=3), two_step=True).nu_hat
+    nu = impute_knn(d, ImputerConfig(backend="knn2", k_neighbors=3)).nu_hat
     assert np.isfinite(nu).all()
 
 
