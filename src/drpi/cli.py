@@ -167,13 +167,6 @@ def _imputer_cfg(args) -> ImputerConfig:
 
 
 def _cmd_analyze(args) -> int:
-    d = load_dataset(
-        args.outcomes,
-        args.covariates,
-        missing_token=args.missing_token,
-        mask_path=args.mask,
-        add_intercept=not args.no_intercept,
-    )
     method = MethodKind(args.method)
     cfg = InferenceConfig(
         target=args.target,
@@ -182,6 +175,13 @@ def _cmd_analyze(args) -> int:
         prop_max_iter=args.prop_max_iter,
         prop_clip=args.prop_clip,
         imputer=_imputer_cfg(args),
+    )
+    d = load_dataset(
+        args.outcomes,
+        args.covariates,
+        missing_token=args.missing_token,
+        mask_path=args.mask,
+        add_intercept=not args.no_intercept,
     )
     nu_hat = None
     if args.obs_threshold > 0:

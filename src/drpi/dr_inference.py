@@ -58,6 +58,14 @@ class InferenceConfig:
     prop_clip: float = 0.01
     imputer: ImputerConfig = field(default_factory=ImputerConfig)
 
+    def __post_init__(self):
+        if not 0 < self.prop_clip < 1:
+            raise DataError("prop_clip (propensity floor) must lie in (0, 1)")
+        if self.prop_max_iter < 1:
+            raise DataError("prop_max_iter must be >= 1")
+        if not self.prop_tol >= 0:
+            raise DataError("prop_tol must be >= 0")
+
 
 @dataclass(frozen=True)
 class ColumnInference:

@@ -6,6 +6,15 @@ a BLAS call that mixes columns, so a column gets bit-for-bit the same fit
 whatever else is in the batch; ``fit_logistic`` is the one-column case.
 That matters because the step-halving test compares log-likelihoods that
 agree to rounding near the optimum.
+
+Each linear predictor eta is evaluated with one ``exp(-|eta|)``, which
+gives both the probabilities and the log-likelihood (``_prob_loglik``); the
+accepted step's probabilities carry into the next iteration.  The score and
+the unique Hessian entries are one broadcast product each, reduced along
+the row.  A column whose Newton decrement ``0.5 * score' H^-1 score`` (the
+gain the quadratic model predicts for the full step) is within the
+log-likelihood tolerance takes the full step and stops: a line search there
+would only compare rounding noise.
 """
 from __future__ import annotations
 
@@ -13,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _outer_rows, _solve_or_pinv
+from ._linalg import _solve_or_pinv
 from .errors import DataError, NumericalError
 
 # a coefficient norm beyond this is reported as IRLS divergence
@@ -30,9 +39,18 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
     return out
 
 
+def _prob_loglik(c, eta):
+    """(sigmoid(eta), sum c*eta - log(1 + exp(eta)) over the last axis) from
+    one exp(-|eta|); the probabilities equal ``_sigmoid``'s bit for bit."""
+    e = np.exp(-np.abs(eta))
+    prob = np.where(eta >= 0, 1.0, e) / (1.0 + e)
+    ll = (c * eta).sum(axis=-1) - (np.maximum(eta, 0.0) + np.log1p(e)).sum(axis=-1)
+    return prob, ll
+
+
 def _loglik(c, eta):
     """sum c*eta - log(1 + exp(eta)) over the last axis, stable for large |eta|."""
-    return (c * eta).sum(axis=-1) - np.logaddexp(0.0, eta).sum(axis=-1)
+    return _prob_loglik(c, eta)[1]
 
 
 def _eta(w: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -42,11 +60,6 @@ def _eta(w: np.ndarray, coef: np.ndarray) -> np.ndarray:
     for k in range(1, w.shape[1]):
         eta = eta + coef[:, k : k + 1] * w[:, k]
     return eta
-
-
-def _row_dots(x: np.ndarray, vt: np.ndarray) -> np.ndarray:
-    """(p, m) sums over i of x[j, i] * vt[k, i], one row reduction each."""
-    return np.stack([(x * v).sum(axis=-1) for v in vt], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -119,12 +132,15 @@ def fit_logistic_columns(
 ) -> PropensityColumns:
     """Maximize the Bernoulli log-likelihood of each column of c given w.
 
-    A column converges when its score max-norm or its relative
-    log-likelihood change drops below tol, or when no step-halving of the
-    Newton step raises the log-likelihood.  Fitted probabilities are clipped
-    to [clip_floor, 1] so inverse-propensity weights stay bounded.  A
-    constant column gets a constant-propensity fit with ``separated`` set,
-    so fully observed columns flow through the same pipeline.
+    Each iteration takes one Newton step per column.  A column converges
+    when its score max-norm drops below tol; when the step's predicted
+    log-likelihood gain (its Newton decrement), or failing that its actual
+    gain, is at most tol relative to the log-likelihood; or when no
+    step-halving of the Newton step raises the log-likelihood.  Fitted
+    probabilities are clipped to [clip_floor, 1] so inverse-propensity
+    weights stay bounded.  A constant column gets a constant-propensity fit
+    with ``separated`` set, so fully observed columns flow through the same
+    pipeline.
     """
     c = np.asarray(c, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -142,60 +158,62 @@ def fit_logistic_columns(
     diverged = np.zeros(p, dtype=bool)
 
     wt = np.ascontiguousarray(w.T)
-    wwt = _outer_rows(w).T
+    iu, ju = np.triu_indices(q)
+    wwt = wt[iu] * wt[ju]  # (q(q+1)/2, n): the Hessian's unique entries
 
     cols = np.flatnonzero(~separated)  # the active columns and their state
     ct = np.ascontiguousarray(c[:, cols].T)
     beta = coef[cols]
-    eta = _eta(w, beta)
-    ll = _loglik(ct, eta)
-
-    def retire(done, it, conv):
-        """Store the fits of the ``done`` columns; returns the kept mask."""
-        nonlocal cols, ct, beta, eta, ll
-        coef[cols[done]] = beta[done]
-        converged[cols[done]] = conv
-        iterations[cols[done]] = it
-        keep = ~done
-        cols, ct, beta, eta, ll = cols[keep], ct[keep], beta[keep], eta[keep], ll[keep]
-        return keep
+    prob, ll = _prob_loglik(ct, _eta(w, beta))
 
     for it in range(1, max_iter + 1):
-        prob = _sigmoid(eta)
-        score = _row_dots(ct - prob, wt)
-        keep = retire(np.abs(score).max(axis=1) <= tol, it, True)
         if cols.size == 0:
             break
-        prob, score = prob[keep], score[keep]
-        weight = prob * (1.0 - prob)
-        hess = _row_dots(weight, wwt).reshape(-1, q, q)
+        score = ((ct - prob)[:, None, :] * wt).sum(axis=-1)
+        upper = ((prob * (1.0 - prob))[:, None, :] * wwt).sum(axis=-1)
+        hess = np.empty((cols.size, q, q))
+        hess[:, iu, ju] = upper
+        hess[:, ju, iu] = upper
         step = _solve_or_pinv(hess, score[:, :, None])[0][:, :, 0]
 
-        # step-halving keeps each column's log-likelihood monotone
-        scale = np.ones(cols.size)
-        cand = beta + scale[:, None] * step
-        eta_new = _eta(w, cand)
-        ll_new = _loglik(ct, eta_new)
-        pending = np.flatnonzero(ll_new < ll)
+        ll_tol = tol * np.maximum(np.abs(ll), 1.0)
+        flat = np.abs(score).max(axis=1) <= tol
+        small = ~flat & (0.5 * (score * step).sum(axis=1) <= ll_tol)
+        beta[small] += step[small]
+
+        # step-halving keeps each searched column's log-likelihood monotone
+        search = np.flatnonzero(~(flat | small))
+        scale = np.ones(search.size)
+        cand = beta[search] + step[search]
+        prob_new, ll_new = _prob_loglik(ct[search], _eta(w, cand))
+        pending = np.flatnonzero(ll_new < ll[search])
         for _ in range(STEP_HALVINGS - 1):
             if pending.size == 0:
                 break
+            rows = search[pending]
             scale[pending] *= 0.5
-            cand[pending] = beta[pending] + scale[pending, None] * step[pending]
-            eta_new[pending] = _eta(w, cand[pending])
-            ll_new[pending] = _loglik(ct[pending], eta_new[pending])
-            pending = pending[ll_new[pending] < ll[pending]]
+            cand[pending] = beta[rows] + scale[pending, None] * step[rows]
+            prob_new[pending], ll_new[pending] = _prob_loglik(ct[rows], _eta(w, cand[pending]))
+            pending = pending[ll_new[pending] < ll[rows]]
         stuck = np.zeros(cols.size, dtype=bool)
-        stuck[pending] = True  # no ascent direction left: at the optimum
-        keep = retire(stuck, it, True)
-        beta, eta, ll_new = cand[keep], eta_new[keep], ll_new[keep]
+        stuck[search[pending]] = True  # no ascent direction left: at the optimum
+        accept = np.ones(search.size, dtype=bool)
+        accept[pending] = False
+        moved = search[accept]
+        beta[moved] = cand[accept]
+        prob[moved] = prob_new[accept]
+        stalled = np.zeros(cols.size, dtype=bool)
+        stalled[moved] = ll_new[accept] - ll[moved] <= ll_tol[moved]
+        ll[moved] = ll_new[accept]
 
         blown = np.linalg.norm(beta, axis=1) > DIVERGENCE_NORM
+        done = flat | small | stuck | stalled | blown
         diverged[cols[blown]] = True
-        keep = retire(blown, it, False)
-        ll_new = ll_new[keep]
-        keep = retire(ll_new - ll <= tol * np.maximum(np.abs(ll), 1.0), it, True)
-        ll = ll_new[keep]
+        converged[cols[done]] = ~blown[done]
+        coef[cols[done]] = beta[done]
+        iterations[cols[done]] = it
+        keep = ~done
+        cols, ct, beta, prob, ll = cols[keep], ct[keep], beta[keep], prob[keep], ll[keep]
     coef[cols] = beta  # out of iterations, not converged
     iterations[cols] = max_iter
 

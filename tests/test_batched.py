@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from drpi import imputers
+from drpi import imputers, propensity
 from drpi.cli import build_parser, parse_and_dispatch
 from drpi.data_model import MethodKind, SkipRecord, write_dataset
 from drpi.dr_inference import InferenceConfig, infer_all, infer_columns, infer_cross_fit
@@ -63,6 +63,39 @@ def test_batch_width_and_order_do_not_change_a_column(wide):
     for cols in ([19], [18, 19], [19, 18, 17, 400], list(range(999, -1, -7))):
         part = fit_logistic_columns(c[:, cols], wide.w).delta_hat
         np.testing.assert_array_equal(part, full[:, cols])
+
+
+@pytest.fixture(scope="module")
+def crossfit_data():
+    """The cross-fit workload's 200 x 120 shape; a training fold is 160 rows."""
+    return gen_dataset(SimConfig(model=3, n=200, p=120, seed=5))[0]
+
+
+@pytest.mark.parametrize("n", [37, 160])
+def test_batch_width_and_order_are_bitwise_at_any_row_count(n, crossfit_data):
+    """exp and log1p must give the same bits wherever a row starts in memory;
+    an odd row count puts each row of a batch at another alignment."""
+    c, w = crossfit_data.mask[:n].astype(float), crossfit_data.w[:n]
+    p = c.shape[1]
+    full = fit_logistic_columns(c, w)
+    for cols in ([7], [8, 7], list(range(p - 1, -1, -3)), list(range(1, p, 2))):
+        part = fit_logistic_columns(c[:, cols], w)
+        np.testing.assert_array_equal(part.delta_hat, full.delta_hat[:, cols])
+        np.testing.assert_array_equal(part.coef, full.coef[cols])
+        np.testing.assert_array_equal(part.iterations, full.iterations[cols])
+        np.testing.assert_array_equal(part.converged, full.converged[cols])
+
+
+@pytest.mark.parametrize("j", [19, 143, 225])
+def test_rounding_level_gain_needs_no_line_search(j, wide, monkeypatch):
+    """These columns' last Newton steps gain only rounding noise: the Newton
+    decrement stops them converged, with one log-likelihood evaluation per
+    iteration and none spent halving the step."""
+    kernel, calls = propensity._prob_loglik, []
+    monkeypatch.setattr(propensity, "_prob_loglik", lambda c, eta: calls.append(1) or kernel(c, eta))
+    fit = fit_logistic(wide.mask[:, j].astype(float), wide.w)
+    assert fit.converged
+    assert len(calls) <= fit.iterations + 1
 
 
 def test_irls_matches_reference_loop_except_rounding_ties(wide):

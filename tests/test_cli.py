@@ -113,6 +113,24 @@ def test_reordered_header_rejected(flag, csv_pair, tmp_path, capsys):
     assert "'pep1' where 'pep0' is expected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--prop-clip", "1.5"), ("--prop-clip", "1"), ("--prop-clip", "0"), ("--prop-clip", "-1"),
+    ("--prop-max-iter", "0"), ("--prop-tol", "-1e-8"), ("--prop-tol", "nan"),
+])
+def test_out_of_range_propensity_setting_exits_2(flag, value, csv_pair, tmp_path, capsys):
+    """A clip of 1 or more would turn the weighted estimators into plug-ins,
+    a clip of 0 or less leaves the weights unbounded, and zero iterations
+    leave every propensity at 1/2; none of them may run silently."""
+    out = tmp_path / "out.csv"
+    code = run_cli(
+        "analyze", "--outcomes", str(csv_pair[0]), "--covariates", str(csv_pair[1]),
+        "--target", "a", "--imputer", "lowdim", f"{flag}={value}", "--out", str(out), "--quiet",
+    )
+    assert code == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_version_via_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "drpi.cli", "--version"],

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "drpi"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "drpi"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -29,3 +30,50 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def private_defs(source: str) -> list:
+    """A module's private top-level functions and classes, in order."""
+    return [
+        node.name for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    ]
+
+
+def referenced_names(source: str) -> set:
+    """Names a source reads: bare names, attributes and imported names."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def dead_private_defs(modules: list, sources: list) -> list:
+    """Private top-level definitions of ``modules`` that no source reads."""
+    used = set().union(*map(referenced_names, sources))
+    return [name for m in modules for name in private_defs(m) if name not in used]
+
+
+def test_dead_private_defs_are_found():
+    mod = "def _used(): pass\ndef _dead(): pass\nclass _Gone: pass\ndef api(): return _used()\n"
+    lib = "def _imported(): pass\ndef _attr(): pass\n"
+    user = "from lib import _imported\nimport lib\nlib._attr()\n"
+    assert dead_private_defs([mod, lib], [mod, lib, user]) == ["_dead", "_Gone"]
+
+
+def test_no_dead_private_defs():
+    """Every private helper in src/drpi is used by the package, its tests,
+    the benchmark or the demos."""
+    sources = [
+        path.read_text() for part in ("src", "tests", "bench", "demos")
+        for path in sorted((ROOT / part).rglob("*.py"))
+    ]
+    modules = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    assert sum(len(private_defs(m)) for m in modules) > 0
+    assert dead_private_defs(modules, sources) == []

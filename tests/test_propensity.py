@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from drpi.propensity import _loglik, _sigmoid, fit_logistic
+from drpi.propensity import _loglik, _prob_loglik, _sigmoid, fit_logistic
 
 
 def test_all_ones_is_separated_constant_fit():
@@ -125,3 +125,34 @@ def test_delta_hat_respects_clip_floor():
     fit = fit_logistic(c, w, clip_floor=0.05)
     assert fit.delta_hat.min() >= 0.05
     assert fit.delta_hat.max() <= 1.0
+
+
+def _eta_grid():
+    """(c, eta) rows over eta in [-700, 700]: mixed, all zero, and saturated
+    columns whose c agrees with the sign of eta."""
+    rng = np.random.default_rng(6)
+    m = 500
+    eta = np.stack([
+        rng.uniform(-700, 700, size=m),
+        np.linspace(-700, 700, m),
+        rng.normal(scale=3, size=m),
+        np.zeros(m),
+        rng.uniform(40, 700, size=m),
+        -rng.uniform(40, 700, size=m),
+    ])
+    c = (rng.random(eta.shape) < 0.5).astype(float)
+    c[4], c[5] = 1.0, 0.0
+    return c, eta
+
+
+def test_loglik_matches_logaddexp_form():
+    c, eta = _eta_grid()
+    want = (c * eta).sum(axis=-1) - np.logaddexp(0.0, eta).sum(axis=-1)
+    np.testing.assert_allclose(_loglik(c, eta), want, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(_loglik(c[2], eta[2]), want[2], rtol=1e-13, atol=0)
+
+
+def test_kernel_probabilities_equal_sigmoid_bitwise():
+    c, eta = _eta_grid()
+    eta[3, :2] = -0.0
+    np.testing.assert_array_equal(_prob_loglik(c, eta)[0], _sigmoid(eta))
