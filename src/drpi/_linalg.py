@@ -33,23 +33,61 @@ def _outer_rows(w: np.ndarray) -> np.ndarray:
     return (w[:, :, None] * w[:, None, :]).reshape(n, q * q)
 
 
-def _masked_least_squares(w: np.ndarray, y: np.ndarray, obs=None):
-    """Normal-equation least squares of every column of y (n, p) on w (n, q).
+def _centred(w: np.ndarray):
+    """(w @ a, a): when w has a nonzero constant column, an intercept, every
+    non-constant column is shifted by its midrange, which the intercept
+    absorbs; otherwise a is None and w is returned unchanged.
 
-    With ``obs``, an (n, p) 0/1 matrix, column j is fit on its rows with
-    obs == 1 only, through its own gram W' diag(obs_j) W; its other cells
-    are never read.  A singular gram gets the minimum-norm solution.
-
-    Returns (coef (p, q), gram_inv (p, q, q), or (1, q, q) without obs,
-    singular (p,)).
+    Normal equations square cond(W), and a covariate's offset from zero is
+    most of that.  The midrange of a 0/1 column is 0.5, so a 0/1 column that
+    is constant on a fit's rows stays an exact power-of-two multiple of the
+    intercept there and its gram still meets an exact zero pivot.
     """
+    const = (w == w[:1]).all(axis=0) & (w[0] != 0)
+    if not const.any() or const.all():
+        return w, None
+    shift = np.where(const, 0.0, 0.5 * (w.min(axis=0) + w.max(axis=0)))
+    i0 = np.flatnonzero(const)[0]
+    a = np.eye(w.shape[1])
+    a[i0] -= shift / w[0, i0]
+    return w - shift, a
+
+
+def _normal_equations(w: np.ndarray, y: np.ndarray, obs=None):
     q, p = w.shape[1], y.shape[1]
     if obs is None:
         gram = (w.T @ w)[None]
     else:
-        obs = np.asarray(obs, dtype=float)
         y = np.where(obs == 1, y, 0.0)
         gram = (obs.T @ _outer_rows(w)).reshape(p, q, q)
     gram_inv, singular = _solve_or_pinv(gram, np.broadcast_to(np.eye(q), gram.shape))
     coef = np.matmul(gram_inv, (w.T @ y).T[:, :, None])[:, :, 0]
     return coef, gram_inv, np.broadcast_to(singular, p)
+
+
+def _masked_least_squares(w: np.ndarray, y: np.ndarray, obs=None):
+    """Normal-equation least squares of every column of y (n, p) on w (n, q).
+
+    With ``obs``, an (n, p) 0/1 matrix, column j is fit on its rows with
+    obs == 1 only, through its own gram W' diag(obs_j) W; its other cells
+    are never read.  The grams are formed on ``_centred`` w and the results
+    mapped back.  A singular gram gets the minimum-norm solution in w's own
+    coordinates, as an SVD solver of w would give.
+
+    Returns (coef (p, q), gram_inv (p, q, q), or (1, q, q) without obs,
+    singular (p,)).
+    """
+    if obs is not None:
+        obs = np.asarray(obs, dtype=float)
+    wc, a = _centred(w)
+    if a is None:
+        return _normal_equations(w, y, obs)
+    coef, gram_inv, singular = _normal_equations(wc, y, obs)
+    if singular.any() and obs is None:
+        return _normal_equations(w, y)
+    coef = coef @ a.T  # w_centred = w a: beta = a beta_c, (W'W)^-1 = a G_c^-1 a'
+    gram_inv = a @ gram_inv @ a.T
+    if singular.any():  # a rank-deficient fit has many solutions: keep w's own minimum-norm one
+        cols = np.flatnonzero(singular)
+        coef[cols], gram_inv[cols], _ = _normal_equations(w, y[:, cols], obs[:, cols])
+    return coef, gram_inv, singular

@@ -287,12 +287,11 @@ def parse_and_dispatch(argv=None) -> int:
     if args.subcommand is None:
         parser.print_usage(sys.stderr)
         return 1
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.ERROR if args.quiet else getattr(
-            logging, args.log_level.upper(), logging.INFO
-        ),
-        format="%(levelname)s %(name)s: %(message)s",
+    # basicConfig installs the stderr handler once per process; the level is
+    # set on drpi's own logger so every call's --quiet/--log-level applies
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(
+        logging.ERROR if args.quiet else getattr(logging, args.log_level.upper(), logging.INFO)
     )
     handler = {
         "analyze": _cmd_analyze,

@@ -9,12 +9,14 @@ agree to rounding near the optimum.
 
 Each linear predictor eta is evaluated with one ``exp(-|eta|)``, which
 gives both the probabilities and the log-likelihood (``_prob_loglik``); the
-accepted step's probabilities carry into the next iteration.  The score and
-the unique Hessian entries are one broadcast product each, reduced along
-the row.  A column whose Newton decrement ``0.5 * score' H^-1 score`` (the
-gain the quadratic model predicts for the full step) is within the
-log-likelihood tolerance takes the full step and stops: a line search there
-would only compare rounding noise.
+accepted step's probabilities carry into the next iteration.  The linear
+predictors, the score and the unique Hessian entries are ``np.einsum``
+contractions (not BLAS): each output entry sums one column's own row, over
+the rows or, for eta, over the covariates, with no (p, ., n) temporary.  A
+column whose Newton decrement ``0.5 * score' H^-1 score`` (the gain the
+quadratic model predicts for the full step) is within the log-likelihood
+tolerance takes the full step and stops: a line search there would only
+compare rounding noise.
 """
 from __future__ import annotations
 
@@ -30,20 +32,21 @@ DIVERGENCE_NORM = 1e6
 STEP_HALVINGS = 50
 
 
+def _exp_sigmoid(eta: np.ndarray):
+    """(exp(-|eta|), sigmoid(eta)): 1 / (1 + e) for eta >= 0, e / (1 + e)
+    below, so no exp overflows."""
+    e = np.exp(-np.abs(eta))
+    return e, np.where(eta >= 0, 1.0, e) / (1.0 + e)
+
+
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    e = np.exp(eta[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    return _exp_sigmoid(eta)[1]
 
 
 def _prob_loglik(c, eta):
     """(sigmoid(eta), sum c*eta - log(1 + exp(eta)) over the last axis) from
-    one exp(-|eta|); the probabilities equal ``_sigmoid``'s bit for bit."""
-    e = np.exp(-np.abs(eta))
-    prob = np.where(eta >= 0, 1.0, e) / (1.0 + e)
+    one exp(-|eta|)."""
+    e, prob = _exp_sigmoid(eta)
     ll = (c * eta).sum(axis=-1) - (np.maximum(eta, 0.0) + np.log1p(e)).sum(axis=-1)
     return prob, ll
 
@@ -53,13 +56,11 @@ def _loglik(c, eta):
     return _prob_loglik(c, eta)[1]
 
 
-def _eta(w: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """(p, n) linear predictors w @ coef[j], summed over covariates in a
-    fixed order."""
-    eta = coef[:, :1] * w[:, 0]
-    for k in range(1, w.shape[1]):
-        eta = eta + coef[:, k : k + 1] * w[:, k]
-    return eta
+def _eta(wt: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """(p, n) linear predictors coef[j] @ wt, wt the (q, n) transpose of
+    the covariates; pass it contiguous, as a strided w.T is several times
+    slower."""
+    return np.einsum("jk,kn->jn", coef, wt)
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,7 @@ class PropensityFit:
         if self.separated:
             pred = np.full(w_new.shape[0], self.constant_value)
         else:
-            pred = _sigmoid(_eta(w_new, self.coef[None])[0])
+            pred = _sigmoid(_eta(np.ascontiguousarray(w_new.T), self.coef[None])[0])
         return np.clip(pred, self.clip_floor, 1.0)
 
 
@@ -105,9 +106,21 @@ class PropensityColumns:
     constant_value: np.ndarray  # (p,) the constant of a separated column
     diverged: np.ndarray  # (p,) bool
 
+    @property
+    def clipped_frac(self) -> np.ndarray:
+        """(p,) share of each column's delta_hat at clip_floor, where the
+        model cannot tell the observation probability from zero."""
+        return (self.delta_hat <= self.clip_floor).mean(axis=0)
+
+    @property
+    def min_delta(self) -> np.ndarray:
+        """(p,) smallest delta_hat of each column; NaN where IRLS diverged."""
+        return self.delta_hat.min(axis=0)
+
     def predict(self, w_new: np.ndarray) -> np.ndarray:
         """(m, p) clipped fitted probabilities at new covariate rows."""
-        pred = _sigmoid(_eta(w_new, self.coef)).T
+        wt = np.ascontiguousarray(np.asarray(w_new, dtype=float).T)
+        pred = _sigmoid(_eta(wt, self.coef)).T
         pred[:, self.separated] = self.constant_value[self.separated]
         return np.clip(pred, self.clip_floor, 1.0)
 
@@ -164,13 +177,13 @@ def fit_logistic_columns(
     cols = np.flatnonzero(~separated)  # the active columns and their state
     ct = np.ascontiguousarray(c[:, cols].T)
     beta = coef[cols]
-    prob, ll = _prob_loglik(ct, _eta(w, beta))
+    prob, ll = _prob_loglik(ct, _eta(wt, beta))
 
     for it in range(1, max_iter + 1):
         if cols.size == 0:
             break
-        score = ((ct - prob)[:, None, :] * wt).sum(axis=-1)
-        upper = ((prob * (1.0 - prob))[:, None, :] * wwt).sum(axis=-1)
+        score = np.einsum("jn,kn->jk", ct - prob, wt)
+        upper = np.einsum("jn,kn->jk", prob * (1.0 - prob), wwt)
         hess = np.empty((cols.size, q, q))
         hess[:, iu, ju] = upper
         hess[:, ju, iu] = upper
@@ -185,7 +198,7 @@ def fit_logistic_columns(
         search = np.flatnonzero(~(flat | small))
         scale = np.ones(search.size)
         cand = beta[search] + step[search]
-        prob_new, ll_new = _prob_loglik(ct[search], _eta(w, cand))
+        prob_new, ll_new = _prob_loglik(ct[search], _eta(wt, cand))
         pending = np.flatnonzero(ll_new < ll[search])
         for _ in range(STEP_HALVINGS - 1):
             if pending.size == 0:
@@ -193,7 +206,7 @@ def fit_logistic_columns(
             rows = search[pending]
             scale[pending] *= 0.5
             cand[pending] = beta[rows] + scale[pending, None] * step[rows]
-            prob_new[pending], ll_new[pending] = _prob_loglik(ct[rows], _eta(w, cand[pending]))
+            prob_new[pending], ll_new[pending] = _prob_loglik(ct[rows], _eta(wt, cand[pending]))
             pending = pending[ll_new[pending] < ll[rows]]
         stuck = np.zeros(cols.size, dtype=bool)
         stuck[search[pending]] = True  # no ascent direction left: at the optimum
@@ -218,7 +231,7 @@ def fit_logistic_columns(
     iterations[cols] = max_iter
 
     coef[diverged] = np.nan
-    delta = np.clip(_sigmoid(_eta(w, coef)).T, clip_floor, 1.0)
+    delta = np.clip(_sigmoid(_eta(wt, coef)).T, clip_floor, 1.0)
     delta[:, separated] = np.where(constant[separated] == 1.0, 1.0, clip_floor)
     return PropensityColumns(
         coef=coef,

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import logging
 import subprocess
 import sys
 
@@ -164,6 +166,43 @@ def test_analyze_end_to_end(csv_pair, tmp_path):
     for r in rows:
         assert 0.0 <= float(r["p_value"]) <= 1.0
         assert 0.0 <= float(r["q_value"]) <= 1.0
+
+
+@contextlib.contextmanager
+def _fresh_process_logging():
+    """Logging as a new process has it: the root logger without handlers and
+    drpi's logger at NOTSET, so ``basicConfig`` installs its handler on the
+    current (captured) stderr.  Everything is restored afterwards."""
+    root, drpi_log = logging.getLogger(), logging.getLogger("drpi")
+    saved = root.handlers[:]
+    for h in saved:
+        root.removeHandler(h)
+    try:
+        yield
+    finally:
+        for h in root.handlers[:]:
+            root.removeHandler(h)
+        for h in saved:
+            root.addHandler(h)
+        drpi_log.setLevel(logging.NOTSET)
+
+
+@pytest.mark.parametrize("order", [
+    ("default", "--quiet", "--log-level=warning", "default"),
+    ("--quiet", "default", "--log-level=warning", "default"),
+])
+def test_quiet_and_log_level_apply_on_every_call(order, csv_pair, tmp_path, capsys):
+    """``basicConfig`` acts only once per process; each later call's
+    --quiet or --log-level must still set what gets printed."""
+    with _fresh_process_logging():
+        for flag in order:
+            extra = [] if flag == "default" else [flag]
+            assert run_cli(
+                "analyze", "--outcomes", str(csv_pair[0]), "--covariates", str(csv_pair[1]),
+                "--target", "a", "--imputer", "lowdim", "--out", str(tmp_path / "o.csv"), *extra,
+            ) == 0
+            err = capsys.readouterr().err
+            assert ("INFO drpi:" in err) == (flag == "default"), (order, flag, err)
 
 
 def test_analyze_deterministic_output(csv_pair, tmp_path):

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from drpi.propensity import _loglik, _prob_loglik, _sigmoid, fit_logistic
+from drpi.propensity import _loglik, _prob_loglik, _sigmoid, fit_logistic, fit_logistic_columns
+from drpi.sim_bench import SimConfig, gen_dataset
 
 
 def test_all_ones_is_separated_constant_fit():
@@ -156,3 +157,19 @@ def test_kernel_probabilities_equal_sigmoid_bitwise():
     c, eta = _eta_grid()
     eta[3, :2] = -0.0
     np.testing.assert_array_equal(_prob_loglik(c, eta)[0], _sigmoid(eta))
+
+
+def test_clipped_share_flags_limited_overlap():
+    """Column 0 masked to the treated rows: a separates it, so its fit
+    pushes the controls' delta_hat to the clip floor."""
+    d = gen_dataset(SimConfig(model=3, n=200, p=30, seed=3))[0]
+    c = d.mask.astype(float)
+    c[:, 0] *= d.w[:, 1] == 1
+    fits = fit_logistic_columns(c, d.w)
+    assert fits.clipped_frac[0] >= 0.4
+    assert fits.min_delta[0] == fits.clip_floor
+    untouched = ~fits.separated
+    untouched[0] = False
+    assert (fits.clipped_frac[untouched] == 0).all()
+    assert (fits.min_delta[untouched] > fits.clip_floor).all()
+    np.testing.assert_array_equal(fits.min_delta, fits.delta_hat.min(axis=0))
