@@ -168,6 +168,7 @@ def _imputer_cfg(args) -> ImputerConfig:
 
 def _cmd_analyze(args) -> int:
     method = MethodKind(args.method)
+    multiple_testing.check_alpha(args.alpha)
     cfg = InferenceConfig(
         target=args.target,
         variance_mode=args.variance,

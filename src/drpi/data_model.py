@@ -10,6 +10,7 @@ import csv
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, compress
 from typing import Sequence
 
 import numpy as np
@@ -196,23 +197,31 @@ def load_dataset(
             f"{len(w_rows)} covariate rows"
         )
     n, p = len(y_rows), len(pep_ids)
-    y = np.full((n, p), np.nan)
-    mask = np.ones((n, p), dtype=np.int8)
-    for i, row in enumerate(y_rows):
-        if len(row) != p:
-            raise DataError(f"outcome row {i} has {len(row)} cells, expected {p}")
-        for j, cell in enumerate(row):
-            cell = cell.strip()
-            if cell == "" or cell == missing_token:
-                mask[i, j] = 0
-                continue
+    ragged = next((i for i, row in enumerate(y_rows) if len(row) != p), n)
+    # the cells of the rows before the first ragged one, parsed in bulk; a
+    # bad cell among them is reported first, as a row-by-row read would
+    cells = list(map(str.strip, chain.from_iterable(y_rows[:ragged])))
+    is_missing = {"", missing_token}.__contains__
+    observed = ~np.fromiter(map(is_missing, cells), bool, len(cells))
+    try:
+        vals = np.fromiter(map(float, compress(cells, observed)), float)
+    except ValueError:
+        for k in np.flatnonzero(observed):
             try:
-                y[i, j] = float(cell)
+                float(cells[k])
             except ValueError:
                 raise DataError(
-                    f"non-numeric observed cell at row {i}, column "
-                    f"{pep_ids[j]!r}: {cell!r}"
+                    f"non-numeric observed cell at row {k // p}, column "
+                    f"{pep_ids[k % p]!r}: {cells[k]!r}"
                 ) from None
+    if ragged < n:
+        raise DataError(
+            f"outcome row {ragged} has {len(y_rows[ragged])} cells, expected {p}"
+        )
+    y = np.full(n * p, np.nan)
+    y[observed] = vals
+    y = y.reshape(n, p)
+    mask = observed.reshape(n, p).astype(np.int8)
 
     if mask_path is not None:
         mask = _read_matrix(mask_path, pep_ids, n, "mask CSV", parse=int)

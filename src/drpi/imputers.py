@@ -47,6 +47,8 @@ class ImputerConfig:
     def __post_init__(self):
         if self.k_neighbors < 1:
             raise DataError("k_neighbors must be >= 1")
+        if self.max_rank < 0:
+            raise DataError("max_rank (soft-impute rank cap) must be >= 0")
         if self.rank_penalty < 0:
             raise DataError("rank_penalty (soft-impute lambda) must be >= 0")
 
@@ -176,18 +178,47 @@ def impute_soft(d: Dataset, cfg: ImputerConfig = None) -> ImputedMatrix:
 
 def _pairwise_stats(obs, yz):
     """Co-observed counts, pairwise means, and correlations between columns,
-    from the 0/1 observation matrix and the outcomes zeroed where missing."""
+    from the 0/1 observation matrix and the outcomes zeroed where missing.
+
+    Built in place, so at most five (p, p) float arrays are live at once.
+    """
     counts = obs.T @ obs  # co-observed counts
-    sums_a = yz.T @ obs  # sum of col a over rows co-observed with col b
-    prods = yz.T @ yz
-    sq = (yz**2).T @ obs
+    mean_a = yz.T @ obs  # sum of col a over rows co-observed with col b
+    cov = yz.T @ yz
+    var_a = (yz**2).T @ obs
+    tmp = np.empty_like(cov)
     with np.errstate(divide="ignore", invalid="ignore"):
-        mean_a = sums_a / counts
-        cov = prods / counts - mean_a * mean_a.T
-        var_a = sq / counts - mean_a**2
-        corr = cov / np.sqrt(var_a * var_a.T)
-    corr = np.where(np.isfinite(corr), corr, 0.0)
-    return counts, mean_a, corr
+        mean_a /= counts
+        cov /= counts
+        cov -= np.multiply(mean_a, mean_a.T, out=tmp)
+        var_a /= counts
+        var_a -= np.square(mean_a, out=tmp)
+        np.multiply(var_a, var_a.T, out=tmp)
+        del var_a
+        cov /= np.sqrt(tmp, out=tmp)
+    del tmp
+    cov[~np.isfinite(cov)] = 0.0
+    return counts, mean_a, cov
+
+
+def _top_k(sim, k):
+    """Boolean matrix of each row's first k columns in a stable descending
+    sort of ``sim`` (equal values in column order), less the columns whose
+    similarity is not finite.  ``sim`` holds no NaN.
+
+    One ``np.partition`` finds each row's k-th largest value; every column
+    above it is kept, and ties at it are admitted in column order until k
+    are chosen.
+    """
+    kth = np.partition(sim, sim.shape[1] - k, axis=1)[:, -k, None]
+    top = sim > kth
+    tie = sim == kth
+    need = k - top.sum(axis=1)
+    crowded = np.flatnonzero(tie.sum(axis=1) > need)
+    tie[crowded] &= np.cumsum(tie[crowded], axis=1) <= need[crowded, None]
+    top |= tie
+    top &= np.isfinite(sim)
+    return top
 
 
 def impute_knn(d: Dataset, cfg: ImputerConfig = None) -> ImputedMatrix:
@@ -206,22 +237,22 @@ def impute_knn(d: Dataset, cfg: ImputerConfig = None) -> ImputedMatrix:
         raise DataError("k_neighbors must be < p")
     obs = d.mask.astype(float)
     yz = np.where(d.mask == 1, d.y_obs, 0.0)
-    counts, mean_a, corr = _pairwise_stats(obs, yz)
-    valid = counts >= 3  # overlap below 3 rows: pair carries no signal
-    sim = np.where(valid, corr, -np.inf)
+    counts, mean_a, sim = _pairwise_stats(obs, yz)
+    sim[counts < 3] = -np.inf  # overlap below 3 rows: pair carries no signal
+    del counts
     np.fill_diagonal(sim, -np.inf)  # a column is never its own neighbor
 
     # nbr[j, l]: column l is one of j's k most similar, with finite similarity
-    top = np.argsort(-sim, axis=1, kind="stable")[:, :k]
-    nbr = np.zeros((d.p, d.p), dtype=bool)
-    nbr[np.arange(d.p)[:, None], top] = True
-    nbr &= np.isfinite(sim)
+    nbr = _top_k(sim, k)
     # transferred value from neighbor l at row i:
     #   mean_j|co(j,l) + (y_il - mean_l|co(j,l));
     # np.where, not a product: never co-observed pairs have NaN means
     shift = np.where(nbr, mean_a - mean_a.T, 0.0)
-    wts = obs @ nbr.T
-    vals = yz @ nbr.T + obs @ shift.T
+    # one C-ordered float copy for both products: at small p, BLAS takes
+    # other kernels for a transposed operand, which round differently
+    nbr_t = np.ascontiguousarray(nbr.T, dtype=float)
+    wts = obs @ nbr_t
+    vals = yz @ nbr_t + obs @ shift.T
     nu = np.where(wts > 0, vals / np.maximum(wts, 1.0), _column_means(d))
 
     backend = "knn2" if cfg.backend == "knn2" else "knn"
@@ -234,8 +265,9 @@ def impute_knn(d: Dataset, cfg: ImputerConfig = None) -> ImputedMatrix:
         unit = centered / norms[:, None]
         rowsim = unit @ unit.T
         np.fill_diagonal(rowsim, -np.inf)
-        nn = np.argsort(-rowsim, axis=1, kind="stable")[:, : min(k, d.n - 1)]
-        nu = np.where(d.mask == 1, nu, filled[nn].mean(axis=1))
+        kk = min(k, d.n - 1)
+        near = _top_k(rowsim, kk).astype(float)
+        nu = np.where(d.mask == 1, nu, (near @ filled) / kk)
 
     return ImputedMatrix(nu, backend=backend)
 

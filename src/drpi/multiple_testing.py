@@ -31,10 +31,15 @@ def bh_qvalues(p_values: np.ndarray) -> np.ndarray:
     return q
 
 
-def select(q_values: np.ndarray, alpha: float) -> np.ndarray:
-    """Indices with q <= alpha (inclusive; matches the step-up rule exactly)."""
+def check_alpha(alpha: float) -> None:
+    """Raise DataError unless 0 < alpha < 1."""
     if not 0.0 < alpha < 1.0:
         raise DataError(f"alpha must be in (0, 1), got {alpha}")
+
+
+def select(q_values: np.ndarray, alpha: float) -> np.ndarray:
+    """Indices with q <= alpha (inclusive; matches the step-up rule exactly)."""
+    check_alpha(alpha)
     return np.flatnonzero(np.asarray(q_values) <= alpha)
 
 

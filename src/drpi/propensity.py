@@ -119,7 +119,12 @@ class PropensityColumns:
 
     def predict(self, w_new: np.ndarray) -> np.ndarray:
         """(m, p) clipped fitted probabilities at new covariate rows."""
-        wt = np.ascontiguousarray(np.asarray(w_new, dtype=float).T)
+        wt = np.ascontiguousarray(np.atleast_2d(np.asarray(w_new, dtype=float)).T)
+        if wt.shape[0] != self.coef.shape[1]:
+            raise DataError(
+                f"covariate count {wt.shape[0]} does not match fit "
+                f"({self.coef.shape[1]})"
+            )
         pred = _sigmoid(_eta(wt, self.coef)).T
         pred[:, self.separated] = self.constant_value[self.separated]
         return np.clip(pred, self.clip_floor, 1.0)

@@ -67,7 +67,7 @@ class SimTruth:
 
 def ar1_cov(p: int, rho: float) -> np.ndarray:
     idx = np.arange(p)
-    return rho ** np.abs(idx[:, None] - idx[None, :])
+    return (rho ** idx)[np.abs(idx[:, None] - idx[None, :])]
 
 
 def load_cov_csv(path) -> np.ndarray:
@@ -98,8 +98,11 @@ def gen_noise(
     rng: np.random.Generator = None,
 ) -> np.ndarray:
     """Correlated Gaussian rows; optionally skewed by shift-log-recenter."""
-    rng = rng or np.random.default_rng()
-    chol = _cholesky_spd(cov)
+    return _draw_noise(n, p, _cholesky_spd(cov), skewed, rng or np.random.default_rng())
+
+
+def _draw_noise(n, p, chol, skewed, rng):
+    """gen_noise from the covariance's Cholesky factor ``chol``."""
     eps = rng.standard_normal((n, p)) @ chol.T
     if skewed:
         eps = eps - eps.min(axis=0) + 0.1  # per-column minimum is +0.1
@@ -118,8 +121,25 @@ def mar_missing_prob(x: np.ndarray) -> np.ndarray:
     return e / (2.0 * (1.0 + e))
 
 
+def _noise_factor(cfg: SimConfig) -> np.ndarray:
+    """Cholesky factor of the configured noise covariance."""
+    cov = load_cov_csv(cfg.cov_csv) if cfg.cov_csv else ar1_cov(cfg.p, cfg.noise_rho)
+    if cov.shape[0] != cfg.p:
+        raise DataError(f"covariance is {cov.shape[0]}x{cov.shape[0]}, need p={cfg.p}")
+    return _cholesky_spd(cov)
+
+
+@dataclass
+class _FactoredConfig(SimConfig):
+    """A SimConfig with its noise covariance's Cholesky factor, so that every
+    repetition of a run draws from one factorization."""
+
+    chol: np.ndarray = None
+
+
 def gen_dataset(cfg: SimConfig, rep: int = 0):
     """One repetition's (Dataset, SimTruth) under the configured scenario."""
+    chol = cfg.chol if isinstance(cfg, _FactoredConfig) else _noise_factor(cfg)
     rng = _rep_rng(cfg.seed, rep)
     n, p = cfg.n, cfg.p
     a = np.zeros(n)
@@ -131,10 +151,7 @@ def gen_dataset(cfg: SimConfig, rep: int = 0):
     s[signal] = 1.0
     c_sig = cfg.effective_signal()
 
-    cov = load_cov_csv(cfg.cov_csv) if cfg.cov_csv else ar1_cov(p, cfg.noise_rho)
-    if cov.shape[0] != p:
-        raise DataError(f"covariance is {cov.shape[0]}x{cov.shape[0]}, need p={p}")
-    eps = gen_noise(n, p, cov, skewed=(cfg.model == 4), rng=rng)
+    eps = _draw_noise(n, p, chol, cfg.model == 4, rng)
 
     y = c_sig * np.outer(a, s) + eps
     if cfg.model != 1:
@@ -258,16 +275,21 @@ def run_benchmark(
     """Generate, analyze, and score every repetition.
 
     Each repetition owns a seed substream derived from (seed, rep), so the
-    result is identical for any thread count.  A repetition that raises
-    DataError or NumericalError is recorded in ``failed_reps``, with
-    threads as without.
+    result is identical for any thread count.  The noise covariance is
+    factored once and shared read-only.  A repetition that raises DataError
+    or NumericalError is recorded in ``failed_reps``, with threads as
+    without.
     """
     methods = tuple(methods)
     inf_cfg = inf_cfg or InferenceConfig(target="a")
+    try:
+        run_cfg = _FactoredConfig(**vars(cfg), chol=_noise_factor(cfg))
+    except (DataError, NumericalError):
+        run_cfg = cfg  # every repetition raises the same error below
 
     def work(rep):
         try:
-            return _run_rep(cfg, rep, methods, inf_cfg), None
+            return _run_rep(run_cfg, rep, methods, inf_cfg), None
         except (DataError, NumericalError) as exc:
             return None, (rep, str(exc))
 
@@ -320,6 +342,7 @@ def toy_power_experiment(
     the oracle conditional means are used for both pseudo-outcomes.
     Vectorized over repetitions.
     """
+    multiple_testing.check_alpha(alpha)
     rows = []
     zcrit = ndtri(1.0 - alpha / 2.0)
     for rho in rho_grid:

@@ -312,6 +312,65 @@ def test_knn_edge_cases_match_reference_loop(case, backend):
         np.testing.assert_allclose(got[:, 4], d.y_obs[:2, 4].mean(), rtol=0, atol=1e-15)
 
 
+def _argsort_top_k(sim, k):
+    """The first k columns of each row's stable descending argsort, less
+    those with non-finite similarity."""
+    top = np.argsort(-sim, axis=1, kind="stable")[:, :k]
+    nbr = np.zeros(sim.shape, dtype=bool)
+    nbr[np.arange(sim.shape[0])[:, None], top] = True
+    return nbr & np.isfinite(sim)
+
+
+def _knn_similarity(d):
+    """impute_knn's column similarity matrix."""
+    counts, _, sim = imputers._pairwise_stats(
+        d.mask.astype(float), np.where(d.mask == 1, d.y_obs, 0.0)
+    )
+    sim[counts < 3] = -np.inf
+    np.fill_diagonal(sim, -np.inf)
+    return sim
+
+
+def _tied_dataset():
+    """40 x 12 data: columns 4-7 copy columns 0-3 and column 8 copies
+    column 0 (equal correlations), and column 11 is observed in two rows,
+    so its row of similarities holds no finite value."""
+    rng = np.random.default_rng(3)
+    y = rng.normal(size=(40, 12))
+    y[:, 4:8] = y[:, :4]
+    y[:, 8] = y[:, 0]
+    mask = np.ones(y.shape, dtype=np.int8)
+    mask[2:, 11] = 0
+    w = np.column_stack([np.ones(40), rng.normal(size=40)])
+    return make_dataset(y, mask, w)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 11])  # 11 = p - 1
+def test_top_k_keeps_the_stable_argsort_order_of_ties(k):
+    sim = _knn_similarity(_tied_dataset())
+    assert not np.isfinite(sim[11]).any()  # and k = 11 leaves every row short
+    np.testing.assert_array_equal(imputers._top_k(sim, k), _argsort_top_k(sim, k))
+
+
+def test_top_k_on_heavy_ties_and_signed_zeros():
+    """Every row holds many equal values, +0.0 next to -0.0 and -inf."""
+    rng = np.random.default_rng(8)
+    sim = rng.integers(-2, 3, size=(50, 30)).astype(float)
+    sim[rng.random(sim.shape) < 0.2] = -np.inf
+    sim[sim == 0] *= rng.choice([1.0, -1.0], size=(sim == 0).sum())
+    sim[7] = -np.inf
+    for k in range(1, 30):
+        np.testing.assert_array_equal(imputers._top_k(sim, k), _argsort_top_k(sim, k))
+
+
+@pytest.mark.parametrize("backend", ["knn", "knn2"])
+def test_knn_on_tied_similarities_matches_reference_loop(backend):
+    d = _tied_dataset()
+    for k in (1, 3, 11):
+        got = impute(d, ImputerConfig(backend=backend, k_neighbors=k)).nu_hat
+        np.testing.assert_allclose(got, ref.knn(d, k, backend), rtol=0, atol=1e-12)
+
+
 def test_knn2_backend_selects_the_sample_pass():
     d = gen_dataset(SimConfig(model=3, n=60, p=20, seed=2))[0]
     cfg = ImputerConfig(backend="knn2")

@@ -133,6 +133,25 @@ def test_out_of_range_propensity_setting_exits_2(flag, value, csv_pair, tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value,field", [
+    ("--imputer-rank", "-1", "max_rank"), ("--alpha", "1.5", "alpha"), ("--alpha", "0", "alpha"),
+])
+def test_out_of_range_flag_exits_2_before_reading_csvs(flag, value, field, tmp_path, capsys):
+    """A negative rank cap would silently lift the cap, and an alpha outside
+    (0, 1) would only fail after the whole analysis; both are refused before
+    the inputs, which do not exist here, are opened."""
+    out = tmp_path / "out.csv"
+    code = run_cli(
+        "analyze", "--outcomes", str(tmp_path / "nope.csv"),
+        "--covariates", str(tmp_path / "nope2.csv"), "--target", "a",
+        f"{flag}={value}", "--out", str(out), "--quiet",
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert field in err and "nope" not in err
+    assert not out.exists()
+
+
 def test_version_via_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "drpi.cli", "--version"],

@@ -70,6 +70,22 @@ def test_non_numeric_cell_errors(tmp_path):
         load_dataset(out, cov)
 
 
+@pytest.mark.parametrize("rows,message", [
+    # the first fault in row order is reported, whichever kind it is
+    ("1,2\n3,x \n5\n7,8\n", "non-numeric observed cell at row 1, column 'b': 'x'"),
+    ("1,2\n3\n5,x\n7,8\n", "outcome row 1 has 1 cells, expected 2"),
+    ("1,2\n3,4\n5,6\n7,8,9\n", "outcome row 3 has 3 cells, expected 2"),
+])
+def test_outcome_csv_faults_reported_in_row_order(tmp_path, rows, message):
+    out = tmp_path / "y.csv"
+    cov = tmp_path / "w.csv"
+    out.write_text("a,b\n" + rows)
+    cov.write_text("x\n0\n1\n2\n3\n")
+    with pytest.raises(DataError) as exc:
+        load_dataset(out, cov)
+    assert str(exc.value) == message
+
+
 def test_rank_deficient_covariates_error(tmp_path):
     out = tmp_path / "y.csv"
     cov = tmp_path / "w.csv"

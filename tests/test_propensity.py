@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from drpi.errors import DataError
 from drpi.propensity import _loglik, _prob_loglik, _sigmoid, fit_logistic, fit_logistic_columns
 from drpi.sim_bench import SimConfig, gen_dataset
 
@@ -102,6 +103,19 @@ def test_predict_training_rows_match_delta_hat():
     c = (rng.random(n) < 0.7).astype(float)
     fit = fit_logistic(c, w)
     np.testing.assert_allclose(fit.predict(w), fit.delta_hat, atol=1e-12)
+
+
+def test_predict_rejects_a_covariate_count_mismatch():
+    """Single and batched fits refuse covariate rows of the wrong width
+    with the same DataError."""
+    rng = np.random.default_rng(6)
+    w = np.column_stack([np.ones(20), rng.normal(size=20)])
+    c = (rng.random((20, 3)) < 0.7).astype(float)
+    fits = fit_logistic_columns(c, w)
+    for fit in (fits, fits.column(0)):
+        with pytest.raises(DataError, match=r"covariate count 3 does not match fit \(2\)"):
+            fit.predict(np.ones((4, 3)))
+    assert fits.predict(w[0]).shape == (1, 3)
 
 
 def test_predict_saturates_at_one():

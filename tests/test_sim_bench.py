@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from drpi import sim_bench
 from drpi.data_model import MethodKind
 from drpi.dr_inference import InferenceConfig
 from drpi.errors import DataError
@@ -26,6 +27,13 @@ def test_ar1_cov_entries():
     np.testing.assert_allclose(cov[0], [1.0, 0.5, 0.25, 0.125])
     np.testing.assert_allclose(cov, cov.T)
     assert np.all(np.linalg.eigvalsh(cov) > 0)
+
+
+def test_ar1_cov_gathers_the_powers_bitwise():
+    idx = np.arange(50)
+    for rho in (0.5, -0.7, 0.93):
+        want = rho ** np.abs(idx[:, None] - idx[None, :])
+        np.testing.assert_array_equal(ar1_cov(50, rho), want)
 
 
 def test_noise_empirical_correlation():
@@ -175,6 +183,26 @@ def test_benchmark_thread_identical(tmp_path):
         np.testing.assert_array_equal(r1.fdr[key], r2.fdr[key])
 
 
+@pytest.mark.parametrize("threads", [0, 3])
+def test_benchmark_factors_the_noise_covariance_once(threads, monkeypatch):
+    """run_benchmark factors the covariance once and shares it across
+    repetitions, with results bitwise equal to a fresh gen_dataset per rep."""
+    calls = []
+    factor = sim_bench._cholesky_spd
+    monkeypatch.setattr(sim_bench, "_cholesky_spd", lambda cov: calls.append(1) or factor(cov))
+    cfg = SimConfig(model=4, n=60, p=30, seed=5, reps=3)
+    inf = InferenceConfig(target="a", imputer=ImputerConfig(backend="knn"))
+    methods = (MethodKind.COMPLETE, MethodKind.DR_UW)
+    res = run_benchmark(cfg, methods, inf_cfg=inf, threads=threads)
+    assert len(calls) == 1
+    for rep in range(cfg.reps):
+        out = sim_bench._run_rep(cfg, rep, methods, inf)  # factors afresh
+        for m in methods:
+            np.testing.assert_array_equal(res.betas[m][rep], out[m][1])
+            np.testing.assert_array_equal(res.fdr[(m, 0.05)][rep], out[m][0][0.05][0])
+    assert len(calls) == 1 + cfg.reps
+
+
 def test_failed_reps_recorded_for_any_thread_count(tmp_path):
     """A non-SPD noise covariance fails every repetition."""
     p = 5
@@ -227,3 +255,8 @@ def test_toy_power_uw_gains_at_high_rho():
 def test_toy_power_rejects_bad_rho():
     with pytest.raises(DataError):
         toy_power_experiment([1.5], reps=10)
+
+
+def test_toy_power_rejects_bad_alpha():
+    with pytest.raises(DataError, match="alpha"):
+        toy_power_experiment([0.5], reps=10, alpha=1.5)
