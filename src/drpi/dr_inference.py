@@ -18,10 +18,10 @@ one batched least-squares fit:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, stdtr
 
 from . import imputers, propensity
 from ._linalg import _masked_least_squares, _outer_rows
@@ -31,6 +31,8 @@ from .imputers import ImputedMatrix, ImputerConfig
 from .propensity import PropensityColumns
 
 _DR = (MethodKind.DR_W, MethodKind.DR_UW)
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)  # the normal reference without scipy
 
 
 @dataclass(frozen=True)
@@ -153,15 +155,22 @@ def ols_sandwich(
 
 
 def _p_values(beta, se, variance_mode, df):
-    """Two-sided p-values: normal reference for the sandwich estimator
-    (asymptotic), Student-t otherwise.  A zero se (perfect fit) is flagged
-    degenerate, with z = +-inf (p = 0), or z = 0 (p = 1) when beta is 0."""
+    """Two-sided p-values of z = beta / se.
+
+    The sandwich estimator is asymptotic and takes the standard normal
+    reference, erfc(|z| / sqrt 2) from ``math.erfc``.  The homoskedastic
+    variance takes Student-t with ``df`` degrees of freedom,
+    2 * stdtr(df, -|z|) from ``scipy.special``.  A zero se (perfect fit) is
+    flagged degenerate, with z = +-inf (p = 0), or z = 0 (p = 1) when beta
+    is 0."""
     degenerate = ~(se > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = beta / se
     if variance_mode == "sandwich":
-        p = 2.0 * ndtr(-np.abs(z))
+        p = _erfc(np.abs(z) / math.sqrt(2.0)).astype(float)
     else:
+        from scipy.special import stdtr  # most of the CLI's start-up time; only Student-t needs it
+
         p = 2.0 * stdtr(df, -np.abs(z))
     zero = beta == 0.0
     z = np.where(degenerate, np.where(zero, 0.0, np.sign(beta) * np.inf), z)

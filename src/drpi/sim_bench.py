@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import dr_inference, multiple_testing
 from .data_model import Dataset, MethodKind
@@ -46,6 +45,10 @@ class SimConfig:
             raise DataError("mcar_prob must be in [0, 1)")
         if not -1.0 < self.noise_rho < 1.0:
             raise DataError("noise_rho must be in (-1, 1)")
+        if self.reps < 1:
+            raise DataError(f"reps must be >= 1, got {self.reps}")
+        for cut in self.cutoffs:
+            multiple_testing.check_alpha(cut)
 
     def effective_signal(self) -> float:
         if np.isfinite(self.signal_c):
@@ -280,6 +283,8 @@ def run_benchmark(
     or NumericalError is recorded in ``failed_reps``, with threads as
     without.
     """
+    if threads < 0:
+        raise DataError(f"threads must be >= 0, got {threads}")
     methods = tuple(methods)
     inf_cfg = inf_cfg or InferenceConfig(target="a")
     try:
@@ -342,9 +347,13 @@ def toy_power_experiment(
     the oracle conditional means are used for both pseudo-outcomes.
     Vectorized over repetitions.
     """
+    from statistics import NormalDist  # imports fractions and decimal; only this command needs it
+
     multiple_testing.check_alpha(alpha)
+    if reps < 1:
+        raise DataError(f"reps must be >= 1, got {reps}")
     rows = []
-    zcrit = ndtri(1.0 - alpha / 2.0)
+    zcrit = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     for rho in rho_grid:
         if not 0.0 <= rho <= 1.0:
             raise DataError("rho must be in [0, 1]")

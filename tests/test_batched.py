@@ -447,15 +447,33 @@ def test_singular_complete_case_design_skips_only_that_column():
 # ------------------------------------------------------ import and docs
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    """Importing scipy.stats or scipy.linalg would add to every CLI run's
-    start-up time; the CLI needs neither."""
-    code = "import sys, drpi.cli; print([m in sys.modules for m in ('scipy.stats', 'scipy.linalg')])"
-    out = subprocess.run(
+_LOADS_SCIPY = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+
+
+def _in_fresh_process(code):
+    return subprocess.run(
         [sys.executable, "-c", code], cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "[False, False]"
+    ).stdout.strip()
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    """Importing any of scipy would be most of every CLI run's start-up
+    time; only Student-t p-values need it, and they import it on first use."""
+    assert _in_fresh_process(f"import sys, drpi.cli; print({_LOADS_SCIPY})") == "False"
+
+
+@pytest.mark.parametrize("method,loads", [("dr_uw", False), ("complete", True)])
+def test_analyze_loads_scipy_only_for_student_t(method, loads, tmp_path):
+    """The default analyze (dr_uw, sandwich, normal reference) never loads
+    scipy; complete-case (homoskedastic, Student-t) does."""
+    argv = [
+        "analyze", "--outcomes", str(ROOT / "fixtures" / "outcomes.csv"),
+        "--covariates", str(ROOT / "fixtures" / "covariates.csv"), "--target", "a",
+        "--method", method, "--out", str(tmp_path / "out.csv"), "--quiet",
+    ]
+    code = f"import sys; from drpi.cli import parse_and_dispatch; print(parse_and_dispatch({argv!r}), {_LOADS_SCIPY})"
+    assert _in_fresh_process(code) == f"0 {loads}"
 
 
 def test_readme_quick_start_runs(capsys):

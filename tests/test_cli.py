@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from drpi import sim_bench
 from drpi.cli import _parse_rho_grid, emit_volcano_data, parse_and_dispatch
 from drpi.data_model import (
     Dataset, MethodKind, PeptideInference, filter_by_rate, load_dataset, write_dataset,
@@ -149,6 +150,23 @@ def test_out_of_range_flag_exits_2_before_reading_csvs(flag, value, field, tmp_p
     assert code == 2
     err = capsys.readouterr().err
     assert field in err and "nope" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,field", [
+    (("simulate", "--n", "40", "--p", "10", "--reps", "0"), "reps"),
+    (("simulate", "--n", "40", "--p", "10", "--cutoffs", "0.05,1.5"), "alpha"),
+    (("simulate", "--n", "40", "--p", "10", "--threads", "-1"), "threads"),
+    (("toy-power", "--n", "40", "--reps", "0"), "reps"),
+])
+def test_empty_or_out_of_range_run_exits_2(argv, field, tmp_path, capsys, monkeypatch):
+    """No repetitions or a cutoff outside (0, 1) would write an all-NaN
+    table, and toy-power with no repetitions would divide by zero; each is
+    refused before any repetition runs."""
+    monkeypatch.setattr(sim_bench, "_run_rep", lambda *a: pytest.fail("a repetition ran"))
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv, "--out", str(out), "--quiet") == 2
+    assert field in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from drpi.data_model import MethodKind, SkipRecord
 from drpi.dr_inference import (
     InferenceConfig,
+    _p_values,
     infer_all,
     infer_cross_fit,
     ols_sandwich,
@@ -187,6 +188,42 @@ def test_p_values_match_normal_reference():
     (out,), skips = infer_all(d, MethodKind.COMPLETE, cfg)
     assert not skips
     assert out.p_value == pytest.approx(expected, abs=1e-12)
+
+
+def test_normal_p_values_match_ndtr_to_rounding():
+    """erfc(|z| / sqrt 2) is 2 * ndtr(-|z|) within 1e-12 relative, out to
+    |z| = 37 where p is about 1e-299; NaN stays NaN."""
+    z = np.concatenate([
+        [0.0, 1e-300, -1e-300, np.inf, -np.inf],
+        np.linspace(-37.0, 37.0, 20001),
+        np.geomspace(1e-12, 37.0, 2001),
+    ])
+    got_z, p, degenerate = _p_values(z, np.ones_like(z), "sandwich", None)
+    assert not degenerate.any()
+    np.testing.assert_array_equal(got_z, z)
+    np.testing.assert_allclose(p, 2.0 * special.ndtr(-np.abs(z)), rtol=1e-12, atol=0)
+    assert np.isnan(_p_values(np.array([np.nan]), np.array([1.0]), "sandwich", None)[1]).all()
+
+
+def test_student_t_p_values_are_scipy_t_sf():
+    rng = np.random.default_rng(8)
+    z = np.concatenate([[0.0, 1e-300, 37.0, np.inf], rng.normal(scale=4.0, size=500)])
+    df = np.resize([1, 2, 5, 27, 197], z.size)
+    _, p, _ = _p_values(z, np.ones_like(z), "homoskedastic", df)
+    np.testing.assert_array_equal(p, 2.0 * stats.t.sf(np.abs(z), df))
+
+
+@pytest.mark.parametrize("mode", ["sandwich", "homoskedastic"])
+def test_degenerate_se_p_values(mode):
+    """A zero or NaN se flags the column degenerate: z = +-inf and p = 0,
+    or z = 0 and p = 1 when beta is 0."""
+    beta = np.array([2.0, -2.0, 0.0, 3.0])
+    se = np.array([0.0, 0.0, 0.0, np.nan])
+    with np.errstate(invalid="ignore"):
+        z, p, degenerate = _p_values(beta, se, mode, np.full(4, 10))
+    np.testing.assert_array_equal(z, [np.inf, -np.inf, 0.0, np.inf])
+    np.testing.assert_array_equal(p, [0.0, 0.0, 1.0, 0.0])
+    assert degenerate.all()
 
 
 # ------------------------------------------------------ skips and errors

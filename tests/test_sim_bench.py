@@ -136,6 +136,11 @@ def test_config_validation():
         SimConfig(signal_frac=1.5)
     with pytest.raises(DataError):
         SimConfig(noise_rho=1.0)
+    with pytest.raises(DataError, match="reps"):
+        SimConfig(reps=0)
+    for cutoffs in [(0.05, 0.0), (float("nan"),)]:
+        with pytest.raises(DataError, match="alpha"):
+            SimConfig(cutoffs=cutoffs)
 
 
 # ------------------------------------------------------------- scoring
@@ -260,3 +265,14 @@ def test_toy_power_rejects_bad_rho():
 def test_toy_power_rejects_bad_alpha():
     with pytest.raises(DataError, match="alpha"):
         toy_power_experiment([0.5], reps=10, alpha=1.5)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.1, 0.05, 0.01, 0.001])
+def test_toy_power_critical_value_matches_ndtri(alpha):
+    """toy_power_experiment's zcrit, NormalDist().inv_cdf(1 - alpha/2), is
+    scipy's ndtri within 1e-15."""
+    from statistics import NormalDist
+
+    from scipy.special import ndtri
+
+    assert abs(NormalDist().inv_cdf(1.0 - alpha / 2.0) - ndtri(1.0 - alpha / 2.0)) <= 1e-15
