@@ -147,12 +147,28 @@ def _apply_config_file(parser, argv):
     return ([sub] if sub else []) + extra + rest
 
 
+def _parse_list(flag, tokens, convert=float):
+    """``convert`` of each token; a bad token is a DataError that names it."""
+    out = []
+    for tok in tokens:
+        try:
+            out.append(convert(tok.strip()))
+        except ValueError:
+            raise DataError(f"{flag}: bad value {tok!r}") from None
+    return out
+
+
 def _parse_rho_grid(spec: str):
     if ":" in spec:
-        start, stop, step = (float(t) for t in spec.split(":"))
+        bounds = _parse_list("--rho", spec.split(":"))
+        if len(bounds) != 3 or not np.isfinite(bounds).all():
+            raise DataError(f"--rho: expected finite start:stop:step, got {spec!r}")
+        start, stop, step = bounds
+        if not step > 0:
+            raise DataError(f"--rho: grid step must be positive, got {step:g}")
         grid = np.arange(start, stop + step / 2, step)
     else:
-        grid = np.array([float(t) for t in spec.split(",")])
+        grid = np.array(_parse_list("--rho", spec.split(",")))
     return np.round(grid, 10)
 
 
@@ -193,10 +209,7 @@ def _cmd_analyze(args) -> int:
             feed = imputers.impute(d_feed, cfg.imputer)
             kept = np.isin(d_feed.peptide_ids, d.peptide_ids)
             nu_hat = replace(feed, nu_hat=feed.nu_hat[:, kept])
-    if args.cross_fit:
-        results, skips = dr_inference.infer_cross_fit(d, method, args.cross_fit, cfg)
-    else:
-        results, skips = dr_inference.infer_all(d, method, cfg, nu_hat=nu_hat)
+    results, skips = dr_inference.infer_all(d, method, cfg, nu_hat=nu_hat, folds=args.cross_fit)
     for rec in skips:
         log.warning("skipped %s: %s", rec.peptide_id, rec.reason)
     if not results:
@@ -234,7 +247,8 @@ def _cmd_simulate(args) -> int:
         n, p, reps = 200, 300, 100
     elif args.preset == "paper":
         p, reps = 1000, 200
-    cutoffs = tuple(float(t) for t in args.cutoffs.split(","))
+    cutoffs = tuple(_parse_list("--cutoffs", args.cutoffs.split(",")))
+    methods = tuple(_parse_list("--methods", args.methods.split(","), MethodKind))
     cfg = sim_bench.SimConfig(
         model=args.model,
         n=n,
@@ -248,7 +262,6 @@ def _cmd_simulate(args) -> int:
         reps=reps,
         cutoffs=cutoffs,
     )
-    methods = tuple(MethodKind(m.strip()) for m in args.methods.split(","))
     inf_cfg = InferenceConfig(target="a", imputer=_imputer_cfg(args))
     result = sim_bench.run_benchmark(cfg, methods, inf_cfg, threads=args.threads)
     for rep, why in result.failed_reps:

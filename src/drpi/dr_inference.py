@@ -173,7 +173,7 @@ def _p_values(beta, se, variance_mode, df):
 
         p = 2.0 * stdtr(df, -np.abs(z))
     zero = beta == 0.0
-    z = np.where(degenerate, np.where(zero, 0.0, np.sign(beta) * np.inf), z)
+    z = np.where(degenerate, np.where(zero, 0.0, np.copysign(np.inf, beta)), z)
     p = np.where(degenerate, np.where(zero, 1.0, 0.0), p)
     return z, p, degenerate
 
@@ -182,54 +182,6 @@ def _default_variance(method: MethodKind) -> str:
     if method in _DR:
         return "sandwich"
     return "homoskedastic"
-
-
-def _estimate(method, w, tcol, variance_mode, y_obs, mask, nu=None, delta=None,
-              oracle=None, skip_reason=None) -> ColumnInference:
-    """The batched core: one method's pseudo-outcomes and fit for all columns.
-
-    ``skip_reason`` carries the caller's own skips (their nu and delta
-    columns must still be finite); the data decide the rest.
-    """
-    q = w.shape[1]
-    p = mask.shape[1]
-    reasons = np.full(p, "", dtype=object) if skip_reason is None else skip_reason.copy()
-    obs = None
-    if method is MethodKind.FULL:
-        response = pseudo_outcomes(oracle, 1.0, 1.0, 0.0).y_tilde
-    elif method is MethodKind.COMPLETE:
-        response, obs = y_obs, mask
-    elif method is MethodKind.PLUGIN:
-        response = pseudo_outcomes(y_obs, 0.0, 1.0, nu).y_tilde
-    elif method is MethodKind.PLUGIN_MISSING:
-        response = pseudo_outcomes(y_obs, mask, 1.0, nu).y_tilde
-    elif method in _DR:
-        response = pseudo_outcomes(y_obs, mask, delta, nu).y_tilde
-    else:
-        raise DataError(f"unknown method {method!r}")
-
-    coef, cov, _, df, singular = _ols_columns(w, response, variance_mode, obs)
-    beta = coef[:, tcol]
-    se = np.sqrt(np.maximum(cov[:, tcol, tcol], 0.0))
-    z, p_value, degenerate = _p_values(beta, se, variance_mode, df)
-
-    if obs is not None:
-        rows = mask.sum(axis=0)
-        reasons[singular] = "singular complete-case design"
-        short = rows < q + 2
-        reasons[short] = [f"complete-case rows {r} < q+2" for r in rows[short]]
-    if method is not MethodKind.FULL:
-        reasons[~mask.any(axis=0)] = "all entries missing"
-    skipped = reasons != ""
-    beta, se, z, p_value = (np.where(skipped, np.nan, a) for a in (beta, se, z, p_value))
-    return ColumnInference(
-        beta=beta,
-        se=se,
-        z=z,
-        p_value=p_value,
-        degenerate=degenerate & ~skipped,
-        skip_reason=reasons,
-    )
 
 
 def _records(peptide_ids, method, est: ColumnInference):
@@ -272,72 +224,13 @@ def _nuisances(d, methods, cfg, nu_hat=None, mu_hat=None, prop=None):
     return nu_hat, mu_hat, prop
 
 
-def infer_columns(
-    d: Dataset,
-    method: MethodKind,
-    cfg: InferenceConfig,
-    nu_hat: ImputedMatrix = None,
-    mu_hat: ImputedMatrix = None,
-    prop: PropensityColumns = None,
-    oracle: np.ndarray = None,
-) -> ColumnInference:
-    """Apply one estimator to all columns at once.
+def _cross_fit_nuisances(d, method, cfg, folds):
+    """Out-of-fold (nu, delta, diverged, skip_reason) for the DR estimators.
 
-    Missing nuisances are fitted here: the configured imputer for nu_hat,
-    the lowdim imputer for mu_hat (dr_w), and one batched logistic fit of
-    the mask for the propensities.  All-missing columns are skipped, as
-    are complete-case fits with too few rows or a singular design and DR
-    fits of a column whose propensity IRLS diverged.
-    """
-    if method is MethodKind.FULL and oracle is None:
-        raise DataError("method 'full' requires an oracle complete matrix")
-    nu_hat, mu_hat, prop = _nuisances(d, (method,), cfg, nu_hat, mu_hat, prop)
-    source = _nu_source(method, nu_hat, mu_hat)
-    delta, reasons = None, None
-    if method in _DR:
-        reasons = np.where(prop.diverged, "propensity IRLS diverged", "").astype(object)
-        delta = np.where(prop.diverged, 1.0, prop.delta_hat)
-    return _estimate(
-        method,
-        d.w,
-        d.covariate_index(cfg.target),
-        cfg.variance_mode or _default_variance(method),
-        d.y_obs,
-        d.mask,
-        nu=None if source is None else source.nu_hat,
-        delta=delta,
-        oracle=oracle,
-        skip_reason=reasons,
-    )
-
-
-def infer_all(
-    d: Dataset,
-    method: MethodKind,
-    cfg: InferenceConfig,
-    nu_hat: ImputedMatrix = None,
-    mu_hat: ImputedMatrix = None,
-    prop: PropensityColumns = None,
-    oracle: np.ndarray = None,
-):
-    """``infer_columns`` as records: (results, skips) in column order."""
-    est = infer_columns(d, method, cfg, nu_hat, mu_hat, prop, oracle)
-    return _records(d.peptide_ids, method, est)
-
-
-def infer_cross_fit(
-    d: Dataset,
-    method: MethodKind,
-    folds: int,
-    cfg: InferenceConfig,
-    seed: int = 0,
-):
-    """Cross-fit nuisances out-of-fold, then one OLS on assembled pseudo-outcomes.
-
-    Supported for the DR estimators with row-predictive imputer backends
-    (mean, lowdim): on each fold, one batched propensity fit and one
-    batched mean or least-squares fit on the other folds' rows give every
-    column's delta and nu on the held-out rows.
+    Supported with row-predictive imputer backends (mean, lowdim): on each
+    fold, one batched propensity fit and one batched mean or least-squares
+    fit on the other folds' rows give every column's delta and nu on the
+    held-out rows.  Folds are dealt round-robin from a fixed permutation.
     """
     if method not in _DR:
         raise DataError("cross-fitting applies to the DR estimators only")
@@ -352,11 +245,8 @@ def infer_cross_fit(
             f"got {backend!r}"
         )
 
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(d.n)
     fold_of = np.empty(d.n, dtype=int)
-    for k in range(folds):
-        fold_of[perm[k::folds]] = k
+    fold_of[np.random.default_rng(0).permutation(d.n)] = np.arange(d.n) % folds
 
     c = d.mask.astype(float)
     delta = np.empty((d.n, d.p))
@@ -382,17 +272,99 @@ def infer_cross_fit(
 
     reasons = np.full(d.p, "", dtype=object)
     reasons[few] = "too few observed training rows"
-    reasons[diverged] = "propensity IRLS diverged"
-    bad = reasons != ""
-    est = _estimate(
-        method,
-        d.w,
-        d.covariate_index(cfg.target),
-        cfg.variance_mode or _default_variance(method),
-        d.y_obs,
-        d.mask,
-        nu=np.where(bad, 0.0, nu),
-        delta=np.where(bad, 1.0, delta),
+    return nu, delta, diverged, reasons
+
+
+def infer_columns(
+    d: Dataset,
+    method: MethodKind,
+    cfg: InferenceConfig,
+    nu_hat: ImputedMatrix = None,
+    mu_hat: ImputedMatrix = None,
+    prop: PropensityColumns = None,
+    oracle: np.ndarray = None,
+    folds: int = 0,
+) -> ColumnInference:
+    """Apply one estimator to all columns at once: the method's
+    pseudo-outcomes, then one batched least-squares fit.
+
+    Missing nuisances are fitted here: the configured imputer for nu_hat,
+    the lowdim imputer for mu_hat (dr_w), and one batched logistic fit of
+    the mask for the propensities.  With ``folds`` = K (DR methods, mean
+    or lowdim means) they are cross-fitted instead: each row's nu and
+    delta come from fits on the other K - 1 folds.  All-missing columns
+    are skipped, as are complete-case fits with too few rows or a singular
+    design and DR fits of a column whose propensity IRLS diverged.
+    """
+    if method is MethodKind.FULL and oracle is None:
+        raise DataError("method 'full' requires an oracle complete matrix")
+    if folds:
+        if nu_hat is not None or mu_hat is not None or prop is not None:
+            raise DataError("cross-fitting fits its own nuisances; pass none with folds")
+        nu, delta, diverged, reasons = _cross_fit_nuisances(d, method, cfg, folds)
+    else:
+        nu_hat, mu_hat, prop = _nuisances(d, (method,), cfg, nu_hat, mu_hat, prop)
+        source = _nu_source(method, nu_hat, mu_hat)
+        nu = None if source is None else source.nu_hat
+        delta = diverged = None
+        if method in _DR:
+            delta, diverged = prop.delta_hat, prop.diverged
+        reasons = np.full(d.p, "", dtype=object)
+    if diverged is not None:
+        reasons[diverged] = "propensity IRLS diverged"
+        bad = reasons != ""  # their nu and delta columns must still be finite
+        nu, delta = np.where(bad, 0.0, nu), np.where(bad, 1.0, delta)
+
+    tcol = d.covariate_index(cfg.target)
+    variance_mode = cfg.variance_mode or _default_variance(method)
+    obs = None
+    if method is MethodKind.FULL:
+        response = pseudo_outcomes(oracle, 1.0, 1.0, 0.0).y_tilde
+    elif method is MethodKind.COMPLETE:
+        response, obs = d.y_obs, d.mask
+    elif method is MethodKind.PLUGIN:
+        response = pseudo_outcomes(d.y_obs, 0.0, 1.0, nu).y_tilde
+    elif method is MethodKind.PLUGIN_MISSING:
+        response = pseudo_outcomes(d.y_obs, d.mask, 1.0, nu).y_tilde
+    elif method in _DR:
+        response = pseudo_outcomes(d.y_obs, d.mask, delta, nu).y_tilde
+    else:
+        raise DataError(f"unknown method {method!r}")
+
+    coef, cov, _, df, singular = _ols_columns(d.w, response, variance_mode, obs)
+    beta = coef[:, tcol]
+    se = np.sqrt(np.maximum(cov[:, tcol, tcol], 0.0))
+    z, p_value, degenerate = _p_values(beta, se, variance_mode, df)
+
+    if obs is not None:
+        rows = d.mask.sum(axis=0)
+        reasons[singular] = "singular complete-case design"
+        short = rows < d.q + 2
+        reasons[short] = [f"complete-case rows {r} < q+2" for r in rows[short]]
+    if method is not MethodKind.FULL:
+        reasons[~d.mask.any(axis=0)] = "all entries missing"
+    skipped = reasons != ""
+    beta, se, z, p_value = (np.where(skipped, np.nan, a) for a in (beta, se, z, p_value))
+    return ColumnInference(
+        beta=beta,
+        se=se,
+        z=z,
+        p_value=p_value,
+        degenerate=degenerate & ~skipped,
         skip_reason=reasons,
     )
+
+
+def infer_all(
+    d: Dataset,
+    method: MethodKind,
+    cfg: InferenceConfig,
+    nu_hat: ImputedMatrix = None,
+    mu_hat: ImputedMatrix = None,
+    prop: PropensityColumns = None,
+    oracle: np.ndarray = None,
+    folds: int = 0,
+):
+    """``infer_columns`` as records: (results, skips) in column order."""
+    est = infer_columns(d, method, cfg, nu_hat, mu_hat, prop, oracle, folds)
     return _records(d.peptide_ids, method, est)

@@ -14,7 +14,7 @@ from drpi import imputers, propensity
 from drpi._linalg import _centred
 from drpi.cli import build_parser, parse_and_dispatch
 from drpi.data_model import MethodKind, SkipRecord, write_dataset
-from drpi.dr_inference import InferenceConfig, infer_all, infer_columns, infer_cross_fit
+from drpi.dr_inference import InferenceConfig, infer_all, infer_columns
 from drpi.imputers import ImputerConfig, impute, impute_knn, impute_lowdim, impute_soft
 from drpi.propensity import fit_logistic, fit_logistic_columns
 from drpi.sim_bench import SimConfig, gen_dataset
@@ -138,7 +138,7 @@ def test_every_method_matches_reference_loop(method, desk):
 def test_cross_fit_matches_reference_loop(method, backend):
     d, _ = gen_dataset(SimConfig(model=3, n=200, p=120, seed=5))
     cfg = InferenceConfig(target="a", imputer=ImputerConfig(backend=backend))
-    res, skips = infer_cross_fit(d, method, 5, cfg)
+    res, skips = infer_all(d, method, cfg, folds=5)
     assert not skips
     got = np.array([[r.beta, r.se, r.p_value] for r in res])
     want = ref.cross_fit(d, 5, TCOL, "lowdim" if method is MethodKind.DR_W else backend,
@@ -406,7 +406,7 @@ def test_irls_divergence_skips_only_that_column(tmp_path):
     runs = [
         lambda data: infer_all(data, MethodKind.DR_UW, cfg),
         lambda data: infer_all(data, MethodKind.DR_W, cfg),
-        lambda data: infer_cross_fit(data, MethodKind.DR_UW, 3, cfg),
+        lambda data: infer_all(data, MethodKind.DR_UW, cfg, folds=3),
     ]
     for run in runs:
         res, skips = run(d)

@@ -11,9 +11,11 @@ from drpi import sim_bench
 from drpi.cli import _parse_rho_grid, emit_volcano_data, parse_and_dispatch
 from drpi.data_model import (
     Dataset, MethodKind, PeptideInference, filter_by_rate, load_dataset, write_dataset,
+    write_results,
 )
 from drpi.dr_inference import InferenceConfig, infer_all
 from drpi.imputers import ImputedMatrix, ImputerConfig, impute
+from drpi.multiple_testing import adjust
 from drpi.sim_bench import SimConfig, gen_dataset
 
 
@@ -158,11 +160,18 @@ def test_out_of_range_flag_exits_2_before_reading_csvs(flag, value, field, tmp_p
     (("simulate", "--n", "40", "--p", "10", "--cutoffs", "0.05,1.5"), "alpha"),
     (("simulate", "--n", "40", "--p", "10", "--threads", "-1"), "threads"),
     (("toy-power", "--n", "40", "--reps", "0"), "reps"),
+    (("simulate", "--n", "40", "--cutoffs", "x"), "'x'"),
+    (("simulate", "--n", "40", "--methods", "dr_uw,bogus"), "'bogus'"),
+    (("toy-power", "--n", "40", "--rho", "a:b"), "'a'"),
+    (("toy-power", "--n", "40", "--rho", "0.1,zz"), "'zz'"),
+    (("toy-power", "--n", "40", "--rho", "0:1:0"), "step"),
 ])
 def test_empty_or_out_of_range_run_exits_2(argv, field, tmp_path, capsys, monkeypatch):
     """No repetitions or a cutoff outside (0, 1) would write an all-NaN
     table, and toy-power with no repetitions would divide by zero; each is
-    refused before any repetition runs."""
+    refused before any repetition runs.  So is a list flag with a token
+    that does not parse, or a rho grid whose step is not positive, with a
+    message that names it."""
     monkeypatch.setattr(sim_bench, "_run_rep", lambda *a: pytest.fail("a repetition ran"))
     out = tmp_path / "out.csv"
     assert run_cli(*argv, "--out", str(out), "--quiet") == 2
@@ -286,6 +295,64 @@ def test_analyze_imputes_on_the_feed_set(tmp_path):
     assert got == [(r.peptide_id, r.beta, r.se, r.p_value) for r in want]
     kept_only, _ = infer_all(kept, MethodKind.DR_UW, cfg)
     assert [r.beta for r in kept_only] != [r.beta for r in want]
+
+
+@pytest.fixture
+def cross_fit_csvs(tmp_path):
+    """A model-3 dataset whose first 6 columns fall below a 0.5 observation
+    rate, written as CSVs."""
+    d, _ = gen_dataset(SimConfig(model=3, n=120, p=30, seed=6))
+    mask = d.mask.copy()
+    mask[::2, :6] = 0
+    d = Dataset(np.where(mask == 1, d.y_obs, np.nan), mask, d.w, d.peptide_ids,
+                d.sample_ids, d.covariate_names)
+    y_csv, w_csv = tmp_path / "y.csv", tmp_path / "w.csv"
+    write_dataset(d, y_csv, w_csv)
+    return y_csv, w_csv
+
+
+@pytest.mark.parametrize("threshold", [None, "0.5"])
+@pytest.mark.parametrize("method", ["dr_uw", "dr_w"])
+def test_analyze_cross_fit_matches_infer_all(method, threshold, cross_fit_csvs, tmp_path):
+    """``--cross-fit K`` writes what ``infer_all(..., folds=K)`` and
+    ``adjust`` give on the same (kept) columns."""
+    y_csv, w_csv = cross_fit_csvs
+    out, want_csv = tmp_path / "r.csv", tmp_path / "want.csv"
+    extra = ["--obs-threshold", threshold] if threshold else []
+    code = run_cli(
+        "analyze", "--outcomes", str(y_csv), "--covariates", str(w_csv), "--target", "a",
+        "--method", method, "--imputer", "lowdim", "--cross-fit", "5", *extra,
+        "--out", str(out), "--quiet",
+    )
+    assert code == 0
+
+    d = load_dataset(y_csv, w_csv)
+    if threshold:
+        d, _ = filter_by_rate(d, float(threshold))
+        assert d.p == 24
+    cfg = InferenceConfig(target="a", imputer=ImputerConfig(backend="lowdim"))
+    want, skips = infer_all(d, MethodKind(method), cfg, folds=5)
+    assert not skips
+    adjust(want, 0.05)
+    write_results(want, want_csv)
+    assert out.read_bytes() == want_csv.read_bytes()
+
+
+@pytest.mark.parametrize("extra,message", [
+    (("--cross-fit", "1"), "at least 2 folds"),
+    (("--cross-fit", "5", "--imputer", "soft"), "row-predictive imputer"),
+    (("--cross-fit", "3", "--method", "plugin"), "DR estimators only"),
+])
+def test_analyze_cross_fit_misuse_exits_2(extra, message, cross_fit_csvs, tmp_path, capsys):
+    y_csv, w_csv = cross_fit_csvs
+    out = tmp_path / "r.csv"
+    code = run_cli(
+        "analyze", "--outcomes", str(y_csv), "--covariates", str(w_csv), "--target", "a",
+        *extra, "--out", str(out), "--quiet",
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_flag_precedence(csv_pair, tmp_path):

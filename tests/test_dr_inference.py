@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -7,12 +9,12 @@ from drpi.dr_inference import (
     InferenceConfig,
     _p_values,
     infer_all,
-    infer_cross_fit,
     ols_sandwich,
     pseudo_outcomes,
 )
 from drpi.errors import DataError
 from drpi.imputers import ImputedMatrix, ImputerConfig, impute_lowdim, impute_mean
+from drpi.propensity import fit_logistic_columns
 from tests.test_data_model import make_dataset
 
 
@@ -226,6 +228,16 @@ def test_degenerate_se_p_values(mode):
     assert degenerate.all()
 
 
+@pytest.mark.parametrize("se", [0.0, 1.5])
+def test_zero_beta_p_values_raise_no_warning(se):
+    """beta = 0 gives z = 0 and p = 1 when degenerate, without evaluating
+    0 * inf for the columns that are not."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z, p, degenerate = _p_values(np.zeros(1), np.full(1, se), "sandwich", np.full(1, 10))
+    assert (z[0], p[0], degenerate[0]) == (0.0, 1.0, se == 0.0)
+
+
 # ------------------------------------------------------ skips and errors
 
 
@@ -269,7 +281,7 @@ def test_cross_fit_runs_and_matches_scale():
     rng = np.random.default_rng(7)
     d = _mar_dataset(rng)
     cfg = InferenceConfig(target="a", imputer=ImputerConfig(backend="lowdim"))
-    res, skips = infer_cross_fit(d, MethodKind.DR_UW, folds=4, cfg=cfg, seed=1)
+    res, skips = infer_all(d, MethodKind.DR_UW, cfg, folds=4)
     assert len(res) == d.p and not skips
     plain, _ = infer_all(d, MethodKind.DR_UW, cfg)
     for r_cf, r in zip(res, plain):
@@ -286,7 +298,7 @@ def test_cross_fit_collapse_no_missing():
     y = rng.normal(size=(n, p))
     d = make_dataset(y, np.ones((n, p), dtype=np.int8), w, covariate_names=("intercept", "a"))
     cfg = InferenceConfig(target="a", imputer=ImputerConfig(backend="mean"))
-    res, _ = infer_cross_fit(d, MethodKind.DR_UW, folds=3, cfg=cfg, seed=0)
+    res, _ = infer_all(d, MethodKind.DR_UW, cfg, folds=3)
     full, _ = infer_all(d, MethodKind.FULL, InferenceConfig(target="a", variance_mode="sandwich"), oracle=y)
     for r_cf, r in zip(res, full):
         assert r_cf.beta == pytest.approx(r.beta, abs=1e-10)
@@ -297,14 +309,20 @@ def test_cross_fit_preconditions():
     d = _mar_dataset(rng, n=40)
     cfg = InferenceConfig(target="a")
     with pytest.raises(DataError):
-        infer_cross_fit(d, MethodKind.PLUGIN, 2, cfg)
+        infer_all(d, MethodKind.PLUGIN, cfg, folds=2)
     with pytest.raises(DataError):
-        infer_cross_fit(d, MethodKind.DR_UW, 1, cfg)
+        infer_all(d, MethodKind.DR_UW, cfg, folds=1)
     with pytest.raises(DataError):
-        infer_cross_fit(d, MethodKind.DR_UW, 20, cfg)
+        infer_all(d, MethodKind.DR_UW, cfg, folds=20)
     bad = InferenceConfig(target="a", imputer=ImputerConfig(backend="soft"))
     with pytest.raises(DataError):
-        infer_cross_fit(d, MethodKind.DR_UW, 2, bad)
+        infer_all(d, MethodKind.DR_UW, bad, folds=2)
+    # cross-fitting fits its own nuisances; passed ones are not ignored
+    given = {"nu_hat": impute_lowdim(d), "mu_hat": impute_lowdim(d),
+             "prop": fit_logistic_columns(d.mask, d.w)}
+    for name, nuisance in given.items():
+        with pytest.raises(DataError, match="fits its own nuisances"):
+            infer_all(d, MethodKind.DR_W, cfg, folds=2, **{name: nuisance})
 
 
 # ------------------------------------------------------ double robustness
