@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import sys
 from dataclasses import replace
@@ -10,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__, dr_inference, imputers, multiple_testing, sim_bench
-from .data_model import MethodKind, filter_by_rate, load_dataset, write_results
+from .data_model import MethodKind, _write_csv, filter_by_rate, load_dataset, write_results
 from .dr_inference import InferenceConfig
 from .errors import DataError, NumericalError
 from .imputers import ImputerConfig
@@ -183,6 +182,12 @@ def _imputer_cfg(args) -> ImputerConfig:
 
 
 def _cmd_analyze(args) -> int:
+    if (args.imputer == "external") != bool(args.external_nu):
+        raise DataError("--external-nu and --imputer external must be given together")
+    for flag in ("obs_threshold", "feed_threshold"):
+        rate = getattr(args, flag)
+        if not 0.0 <= rate <= 1.0:
+            raise DataError(f"--{flag.replace('_', '-')} must be in [0, 1], got {rate:g}")
     method = MethodKind(args.method)
     multiple_testing.check_alpha(args.alpha)
     cfg = InferenceConfig(
@@ -232,13 +237,12 @@ def emit_volcano_data(results, path):
     """CSV of (peptide_id, beta, -log10 q, selected); q=0 capped at 300."""
     if not results:
         raise DataError("no results to export")
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["peptide_id", "beta", "neg_log10_q", "selected", "capped"])
-        for r in results:
-            capped = r.q_value == 0.0
-            val = 300.0 if capped else -float(np.log10(r.q_value))
-            wr.writerow([r.peptide_id, repr(r.beta), repr(val), int(r.selected), int(capped)])
+    rows = []
+    for r in results:
+        capped = r.q_value == 0.0
+        val = 300.0 if capped else -float(np.log10(r.q_value))
+        rows.append([r.peptide_id, r.beta, val, int(r.selected), int(capped)])
+    _write_csv(path, ["peptide_id", "beta", "neg_log10_q", "selected", "capped"], rows)
 
 
 def _cmd_simulate(args) -> int:
@@ -266,6 +270,9 @@ def _cmd_simulate(args) -> int:
     result = sim_bench.run_benchmark(cfg, methods, inf_cfg, threads=args.threads)
     for rep, why in result.failed_reps:
         log.warning("repetition %d failed: %s", rep, why)
+    if len(result.failed_reps) == reps:
+        rep, why = result.failed_reps[0]
+        raise DataError(f"all {reps} repetitions failed; repetition {rep}: {why}")
     result.to_csv(args.out)
     log.info("wrote %s (%d reps, %d failed)", args.out, reps, len(result.failed_reps))
     return 0

@@ -154,9 +154,43 @@ def _read_csv(path) -> tuple:
     return rows[0], rows[1:]
 
 
-def _read_matrix(path, ids, n: int, what: str, parse=float) -> np.ndarray:
-    """(n, len(ids)) float array from a CSV whose header must be ``ids``;
-    every cell is read with ``parse``."""
+def _parse_cells(rows, names, what: str, is_missing=None) -> tuple:
+    """(values, observed) of CSV body ``rows`` under header ``names``: the
+    (n, len(names)) floats of the stripped cells, NaN wherever
+    ``is_missing(cell)`` holds, and the boolean mask of the other cells.
+
+    The first fault in row order is raised, a non-numeric cell or a row of
+    the wrong length, as a DataError that names ``what``.
+    """
+    n, p = len(rows), len(names)
+    ragged = next((i for i, row in enumerate(rows) if len(row) != p), n)
+    # the cells of the rows before the first ragged one, parsed in bulk; a
+    # bad cell among them is reported first, as a row-by-row read would
+    cells = list(map(str.strip, chain.from_iterable(rows[:ragged])))
+    if is_missing is None:
+        observed = np.ones(len(cells), bool)
+    else:
+        observed = ~np.fromiter(map(is_missing, cells), bool, len(cells))
+    try:
+        vals = np.fromiter(map(float, compress(cells, observed)), float)
+    except ValueError:
+        for k in np.flatnonzero(observed):
+            try:
+                float(cells[k])
+            except ValueError:
+                raise DataError(
+                    f"non-numeric {what} cell at row {k // p}, column "
+                    f"{names[k % p]!r}: {cells[k]!r}"
+                ) from None
+    if ragged < n:
+        raise DataError(f"{what} row {ragged} has {len(rows[ragged])} cells, expected {p}")
+    values = np.full(n * p, np.nan)
+    values[observed] = vals
+    return values.reshape(n, p), observed.reshape(n, p)
+
+
+def _read_matrix(path, ids, n: int, what: str) -> np.ndarray:
+    """(n, len(ids)) float array from a CSV whose header must be ``ids``."""
     header, rows = _read_csv(path)
     p = len(ids)
     if len(header) != p or len(rows) != n:
@@ -164,15 +198,19 @@ def _read_matrix(path, ids, n: int, what: str, parse=float) -> np.ndarray:
     for got, want in zip(header, ids):
         if got != want:
             raise DataError(f"{what} header has {got!r} where {want!r} is expected")
-    out = np.empty((n, p))
-    for i, row in enumerate(rows):
-        if len(row) != p:
-            raise DataError(f"{what} row {i} has {len(row)} cells, expected {p}")
-        try:
-            out[i] = [parse(c) for c in row]
-        except ValueError as exc:
-            raise DataError(f"{what} row {i}: {exc}") from None
-    return out
+    return _parse_cells(rows, ids, what)[0]
+
+
+def _write_csv(path, header, rows):
+    """Write a CSV of ``header`` then ``rows``; a float cell, numpy scalars
+    included, is written as ``repr(float(v))`` and any other cell as it is."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows(
+            [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+            for row in rows
+        )
 
 
 def load_dataset(
@@ -196,45 +234,14 @@ def load_dataset(
             f"row count mismatch: {len(y_rows)} outcome rows vs "
             f"{len(w_rows)} covariate rows"
         )
-    n, p = len(y_rows), len(pep_ids)
-    ragged = next((i for i, row in enumerate(y_rows) if len(row) != p), n)
-    # the cells of the rows before the first ragged one, parsed in bulk; a
-    # bad cell among them is reported first, as a row-by-row read would
-    cells = list(map(str.strip, chain.from_iterable(y_rows[:ragged])))
-    is_missing = {"", missing_token}.__contains__
-    observed = ~np.fromiter(map(is_missing, cells), bool, len(cells))
-    try:
-        vals = np.fromiter(map(float, compress(cells, observed)), float)
-    except ValueError:
-        for k in np.flatnonzero(observed):
-            try:
-                float(cells[k])
-            except ValueError:
-                raise DataError(
-                    f"non-numeric observed cell at row {k // p}, column "
-                    f"{pep_ids[k % p]!r}: {cells[k]!r}"
-                ) from None
-    if ragged < n:
-        raise DataError(
-            f"outcome row {ragged} has {len(y_rows[ragged])} cells, expected {p}"
-        )
-    y = np.full(n * p, np.nan)
-    y[observed] = vals
-    y = y.reshape(n, p)
-    mask = observed.reshape(n, p).astype(np.int8)
-
+    n = len(y_rows)
+    y, observed = _parse_cells(y_rows, pep_ids, "outcome", {"", missing_token}.__contains__)
+    mask = observed.astype(np.int8)
     if mask_path is not None:
-        mask = _read_matrix(mask_path, pep_ids, n, "mask CSV", parse=int)
+        mask = _read_matrix(mask_path, pep_ids, n, "mask CSV")
         y[mask == 0] = np.nan
 
-    w = np.empty((len(w_rows), len(cov_names)))
-    for i, row in enumerate(w_rows):
-        if len(row) != len(cov_names):
-            raise DataError(f"covariate row {i} has wrong cell count")
-        try:
-            w[i] = [float(c) for c in row]
-        except ValueError:
-            raise DataError(f"non-numeric covariate cell in row {i}") from None
+    w = _parse_cells(w_rows, cov_names, "covariate")[0]
     names = list(cov_names)
     if add_intercept:
         w = np.column_stack([np.ones(n), w])
@@ -258,26 +265,15 @@ def load_dataset(
 
 def write_dataset(d: Dataset, outcome_path, covariate_path, mask_path=None):
     """Write a Dataset back to CSV; inverse of load_dataset at observed cells."""
-    with open(outcome_path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(d.peptide_ids)
-        for i in range(d.n):
-            wr.writerow(
-                [repr(float(d.y_obs[i, j])) if d.mask[i, j] else "" for j in range(d.p)]
-            )
-    with open(covariate_path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        has_icpt = d.covariate_names and d.covariate_names[0] == "intercept"
-        start = 1 if has_icpt else 0
-        wr.writerow(d.covariate_names[start:])
-        for i in range(d.n):
-            wr.writerow([repr(float(v)) for v in d.w[i, start:]])
+    # row by row, so that no (n, p) list of Python floats is ever built
+    _write_csv(outcome_path, d.peptide_ids, (
+        [v if m else "" for v, m in zip(y_row.tolist(), m_row.tolist())]
+        for y_row, m_row in zip(d.y_obs, d.mask)
+    ))
+    start = 1 if d.covariate_names and d.covariate_names[0] == "intercept" else 0
+    _write_csv(covariate_path, d.covariate_names[start:], d.w[:, start:].tolist())
     if mask_path is not None:
-        with open(mask_path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(d.peptide_ids)
-            for i in range(d.n):
-                wr.writerow([int(v) for v in d.mask[i]])
+        _write_csv(mask_path, d.peptide_ids, map(np.ndarray.tolist, d.mask))
 
 
 def observation_rate(d: Dataset) -> np.ndarray:
@@ -293,8 +289,9 @@ def filter_by_rate(
     Inference keeps columns with observation rate >= threshold; the feed set
     keeps columns with rate >= feed_threshold (default 0.2).
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise DataError(f"threshold must be in [0, 1], got {threshold}")
+    for name, rate in (("threshold", threshold), ("feed_threshold", feed_threshold)):
+        if not 0.0 <= rate <= 1.0:
+            raise DataError(f"{name} must be in [0, 1], got {rate}")
     rates = observation_rate(d)
     keep = np.flatnonzero(rates >= threshold)
     if keep.size == 0:
@@ -303,24 +300,12 @@ def filter_by_rate(
     return d.select_columns(keep), d.select_columns(feed)
 
 
-def write_results(results, path, float_fmt=repr):
+def write_results(results, path):
     """Write inference results as CSV (peptide_id, method, beta, se, z,
     p_value, q_value, selected)."""
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(
-            ["peptide_id", "method", "beta", "se", "z", "p_value", "q_value", "selected"]
-        )
-        for r in results:
-            wr.writerow(
-                [
-                    r.peptide_id,
-                    r.method.value,
-                    float_fmt(float(r.beta)),
-                    float_fmt(float(r.se)),
-                    float_fmt(float(r.z)),
-                    float_fmt(float(r.p_value)),
-                    "" if np.isnan(r.q_value) else float_fmt(float(r.q_value)),
-                    int(r.selected),
-                ]
-            )
+    header = ["peptide_id", "method", "beta", "se", "z", "p_value", "q_value", "selected"]
+    _write_csv(path, header, (
+        [r.peptide_id, r.method.value, float(r.beta), float(r.se), float(r.z),
+         float(r.p_value), "" if np.isnan(r.q_value) else float(r.q_value), int(r.selected)]
+        for r in results
+    ))

@@ -7,7 +7,6 @@ or any SPD matrix loaded from CSV.
 """
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
@@ -15,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import dr_inference, multiple_testing
-from .data_model import Dataset, MethodKind
+from .data_model import Dataset, MethodKind, _parse_cells, _read_csv, _write_csv
 from .dr_inference import InferenceConfig
 from .errors import DataError, NumericalError
 
@@ -74,13 +73,11 @@ def ar1_cov(p: int, rho: float) -> np.ndarray:
 
 
 def load_cov_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    try:
-        m = np.array([[float(c) for c in r] for r in rows if r])
-    except ValueError:
-        raise DataError("non-numeric cell in covariance CSV") from None
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    """Square matrix from a headerless CSV; blank lines are skipped."""
+    first, rest = _read_csv(path)
+    rows = [row for row in [first, *rest] if row]
+    m = _parse_cells(rows, range(len(rows[0]) if rows else 0), "covariance CSV")[0]
+    if m.size == 0 or m.shape[0] != m.shape[1]:
         raise DataError("covariance CSV must be square")
     return m
 
@@ -222,26 +219,15 @@ class BenchResult:
                             "method": m.value,
                             "cutoff": cut,
                             "metric": metric,
-                            "value": float(np.mean(vals)),
+                            "value": float(np.mean(vals)) if len(vals) else float("nan"),
                             "mc_se": mc_se,
                         }
                     )
         return rows
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["method", "cutoff", "metric", "value", "mc_se"])
-            for row in self.summary():
-                wr.writerow(
-                    [
-                        row["method"],
-                        repr(row["cutoff"]),
-                        row["metric"],
-                        repr(row["value"]),
-                        repr(row["mc_se"]),
-                    ]
-                )
+        cols = ["method", "cutoff", "metric", "value", "mc_se"]
+        _write_csv(path, cols, ([row[c] for c in cols] for row in self.summary()))
 
 
 def _run_rep(cfg: SimConfig, rep: int, methods, inf_cfg: InferenceConfig):
@@ -395,8 +381,5 @@ def toy_power_experiment(
 
 
 def toy_power_to_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["method", "rho", "power", "mc_se"])
-        for r in rows:
-            wr.writerow([r["method"], repr(r["rho"]), repr(r["power"]), repr(r["mc_se"])])
+    cols = ["method", "rho", "power", "mc_se"]
+    _write_csv(path, cols, ([row[c] for c in cols] for row in rows))

@@ -14,6 +14,7 @@ from drpi.data_model import (
     write_results,
 )
 from drpi.dr_inference import InferenceConfig, infer_all
+from drpi.errors import DataError
 from drpi.imputers import ImputedMatrix, ImputerConfig, impute
 from drpi.multiple_testing import adjust
 from drpi.sim_bench import SimConfig, gen_dataset
@@ -138,11 +139,17 @@ def test_out_of_range_propensity_setting_exits_2(flag, value, csv_pair, tmp_path
 
 @pytest.mark.parametrize("flag,value,field", [
     ("--imputer-rank", "-1", "max_rank"), ("--alpha", "1.5", "alpha"), ("--alpha", "0", "alpha"),
+    ("--obs-threshold", "-0.5", "--obs-threshold must be in [0, 1]"),
+    ("--feed-threshold", "7", "--feed-threshold must be in [0, 1]"),
+    ("--feed-threshold", "-3", "--feed-threshold must be in [0, 1]"),
+    ("--imputer", "external", "--external-nu and --imputer external"),
 ])
 def test_out_of_range_flag_exits_2_before_reading_csvs(flag, value, field, tmp_path, capsys):
-    """A negative rank cap would silently lift the cap, and an alpha outside
-    (0, 1) would only fail after the whole analysis; both are refused before
-    the inputs, which do not exist here, are opened."""
+    """A negative rank cap would silently lift the cap, an alpha outside
+    (0, 1) would only fail after the whole analysis, an observation-rate
+    threshold outside [0, 1] would be ignored, and the external imputer
+    needs its --external-nu file; each is refused before the inputs, which
+    do not exist here, are opened."""
     out = tmp_path / "out.csv"
     code = run_cli(
         "analyze", "--outcomes", str(tmp_path / "nope.csv"),
@@ -152,6 +159,19 @@ def test_out_of_range_flag_exits_2_before_reading_csvs(flag, value, field, tmp_p
     assert code == 2
     err = capsys.readouterr().err
     assert field in err and "nope" not in err
+    assert not out.exists()
+
+
+def test_external_nu_without_external_imputer_exits_2(csv_pair, tmp_path, capsys):
+    """An --external-nu file would be ignored by any other imputer."""
+    out = tmp_path / "out.csv"
+    code = run_cli(
+        "analyze", "--outcomes", str(csv_pair[0]), "--covariates", str(csv_pair[1]),
+        "--target", "a", "--imputer", "lowdim", "--external-nu", str(tmp_path / "nu.csv"),
+        "--out", str(out), "--quiet",
+    )
+    assert code == 2
+    assert "--external-nu and --imputer external" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -404,6 +424,42 @@ def test_simulate_writes_summary(tmp_path):
         rows = list(csv.DictReader(fh))
     assert {r["method"] for r in rows} == {"complete", "dr_uw"}
     assert {r["metric"] for r in rows} == {"fdr", "tpr"}
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (("--n", "3", "--p", "5"), "need n > q"),
+    (("--n", "40", "--p", "0"), "max_rank exceeds"),
+    (("--n", "40", "--p", "20", "--imputer", "knn", "--imputer-k", "30"), "k_neighbors"),
+])
+def test_simulate_with_every_repetition_failed_exits_2(argv, reason, tmp_path, capsys):
+    """A run in which no repetition succeeded has nothing to summarize: it
+    exits 2 with the first failure's reason and writes no table."""
+    out = tmp_path / "bench.csv"
+    assert run_cli("simulate", *argv, "--reps", "2", "--out", str(out), "--quiet") == 2
+    err = capsys.readouterr().err
+    assert "all 2 repetitions failed; repetition 0:" in err and reason in err
+    assert not out.exists()
+
+
+def test_simulate_with_some_repetitions_failed_exits_0(tmp_path, monkeypatch):
+    run_rep = sim_bench._run_rep
+
+    def fail_first(cfg, rep, *rest):
+        if rep == 0:
+            raise DataError("first repetition fails")
+        return run_rep(cfg, rep, *rest)
+
+    monkeypatch.setattr(sim_bench, "_run_rep", fail_first)
+    out = tmp_path / "bench.csv"
+    code = run_cli(
+        "simulate", "--n", "60", "--p", "20", "--reps", "2", "--methods", "dr_uw",
+        "--imputer", "lowdim", "--out", str(out), "--quiet",
+    )
+    assert code == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["metric"] for r in rows] == ["fdr", "tpr"]
+    assert all(r["mc_se"] == "nan" for r in rows)  # one repetition left
 
 
 def test_toy_power_writes_csv(tmp_path):

@@ -11,6 +11,8 @@ from drpi.data_model import (
     write_dataset,
 )
 from drpi.errors import DataError
+from drpi.imputers import load_external_nu
+from drpi.sim_bench import load_cov_csv
 
 
 def make_dataset(y, mask, w, **kw):
@@ -72,7 +74,7 @@ def test_non_numeric_cell_errors(tmp_path):
 
 @pytest.mark.parametrize("rows,message", [
     # the first fault in row order is reported, whichever kind it is
-    ("1,2\n3,x \n5\n7,8\n", "non-numeric observed cell at row 1, column 'b': 'x'"),
+    ("1,2\n3,x \n5\n7,8\n", "non-numeric outcome cell at row 1, column 'b': 'x'"),
     ("1,2\n3\n5,x\n7,8\n", "outcome row 1 has 1 cells, expected 2"),
     ("1,2\n3,4\n5,6\n7,8,9\n", "outcome row 3 has 3 cells, expected 2"),
 ])
@@ -84,6 +86,55 @@ def test_outcome_csv_faults_reported_in_row_order(tmp_path, rows, message):
     with pytest.raises(DataError) as exc:
         load_dataset(out, cov)
     assert str(exc.value) == message
+
+
+def _read_fault(tmp_path, kind, body):
+    """The DataError message of reading ``body`` as a ``kind`` CSV next to a
+    valid 3-row outcome CSV with columns a, b."""
+    out, cov, bad = tmp_path / "y.csv", tmp_path / "w.csv", tmp_path / "bad.csv"
+    out.write_text("a,b\n1,2\n3,4\n5,6\n")
+    cov.write_text("x\n0\n1\n2\n")
+    bad.write_text(body)
+    with pytest.raises(DataError) as exc:
+        if kind == "covariate":
+            load_dataset(out, bad)
+        elif kind == "mask":
+            load_dataset(out, cov, mask_path=bad)
+        elif kind == "external":
+            load_external_nu(bad, load_dataset(out, cov))
+        else:
+            load_cov_csv(bad)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("kind,body,message", [
+    ("covariate", "x\n0\nz\n2\n", "non-numeric covariate cell at row 1, column 'x': 'z'"),
+    ("covariate", "x\n0\n1,3\n2\n", "covariate row 1 has 2 cells, expected 1"),
+    ("mask", "a,b\n1,1\n1,y\n1,1\n", "non-numeric mask CSV cell at row 1, column 'b': 'y'"),
+    ("mask", "a,b\n1,1\n1\n1,1\n", "mask CSV row 1 has 1 cells, expected 2"),
+    ("external", "a,b\n1,1\n,1\n1,1\n",
+     "non-numeric external matrix cell at row 1, column 'a': ''"),
+    ("external", "a,b\n1,1\n1,1\n1,1,1\n", "external matrix row 2 has 3 cells, expected 2"),
+    ("covariance", "1,0\nq,1\n", "non-numeric covariance CSV cell at row 1, column 0: 'q'"),
+    ("covariance", "1,0\n0\n", "covariance CSV row 1 has 1 cells, expected 2"),
+])
+def test_csv_faults_share_one_format(tmp_path, kind, body, message):
+    assert _read_fault(tmp_path, kind, body) == message
+
+
+@pytest.mark.parametrize("cell", ["0.5", "2", "nan"])
+def test_mask_cells_other_than_zero_or_one_refused(tmp_path, cell):
+    assert _read_fault(tmp_path, "mask", f"a,b\n1,1\n1,{cell}\n1,1\n") == (
+        "mask entries must be 0 or 1"
+    )
+
+
+def test_mask_cells_parsed_as_floats(tmp_path):
+    out, cov, msk = tmp_path / "y.csv", tmp_path / "w.csv", tmp_path / "m.csv"
+    out.write_text("a,b\n1,2\n3,4\n5,6\n")
+    cov.write_text("x\n0\n1\n2\n")
+    msk.write_text("a,b\n1.0,0\n1, 1\n0.0,1\n")
+    assert load_dataset(out, cov, mask_path=msk).mask.tolist() == [[1, 0], [1, 1], [0, 1]]
 
 
 def test_rank_deficient_covariates_error(tmp_path):
@@ -186,6 +237,13 @@ def test_filter_empty_inference_set_errors():
     d = make_dataset(y, mask, w)
     with pytest.raises(DataError, match="threshold"):
         filter_by_rate(d, 0.9)
+
+
+@pytest.mark.parametrize("threshold,feed", [(-0.1, 0.2), (1.5, 0.2), (0.5, -3.0), (0.5, 7.0)])
+def test_filter_thresholds_outside_unit_interval_refused(threshold, feed):
+    d = make_dataset(np.ones((4, 2)), np.ones((4, 2), dtype=np.int8), np.ones((4, 1)))
+    with pytest.raises(DataError, match=r"threshold must be in \[0, 1\]"):
+        filter_by_rate(d, threshold, feed)
 
 
 def test_inference_subset_of_feed_property():

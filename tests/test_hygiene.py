@@ -77,3 +77,26 @@ def test_no_dead_private_defs():
     modules = [path.read_text() for path in sorted(SRC.glob("*.py"))]
     assert sum(len(private_defs(m)) for m in modules) > 0
     assert dead_private_defs(modules, sources) == []
+
+
+def imported_modules(source: str) -> set:
+    """Top-level names of the modules a source imports (not its relative
+    imports)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_imported_modules_are_found():
+    src = "import csv\nimport os.path as op\nfrom numpy import linalg\nfrom .csv import x\n"
+    assert imported_modules(src) == {"csv", "os", "numpy"}
+
+
+def test_only_data_model_imports_csv():
+    """The CSV format is read and written in one module."""
+    users = [p.name for p in sorted(SRC.glob("*.py")) if "csv" in imported_modules(p.read_text())]
+    assert users == ["data_model.py"]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,20 @@ def test_failed_reps_recorded_for_any_thread_count(tmp_path):
     threaded = run_benchmark(cfg, (MethodKind.DR_UW,), inf_cfg=inf, threads=2)
     assert [rep for rep, _ in serial.failed_reps] == [0, 1, 2]
     assert threaded.failed_reps == serial.failed_reps
+
+
+def test_summary_of_no_repetitions_is_nan_without_warnings():
+    res = sim_bench.BenchResult(
+        cfg=SimConfig(), methods=(MethodKind.DR_UW,), cutoffs=(0.05,),
+        fdr={(MethodKind.DR_UW, 0.05): np.array([])},
+        tpr={(MethodKind.DR_UW, 0.05): np.array([])},
+        betas={MethodKind.DR_UW: np.array([])}, failed_reps=[(0, "why")],
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = res.summary()
+    assert [r["metric"] for r in rows] == ["fdr", "tpr"]
+    assert all(np.isnan(r["value"]) and np.isnan(r["mc_se"]) for r in rows)
 
 
 def test_benchmark_full_method_zero_fdr_high_tpr():
