@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import logging
+import platform
 import sys
 from dataclasses import replace
 
@@ -293,6 +296,29 @@ def _cmd_toy_power(args) -> int:
     return 0
 
 
+@functools.cache
+def _keep_freed_memory():
+    """Let glibc keep freed blocks of up to 32 MiB for reuse.
+
+    Every batched step makes (n, p) float temporaries.  Under glibc's
+    defaults a freed block above the dynamic mmap threshold (128 KiB at
+    start) is unmapped and the heap top is trimmed, so the next temporary
+    is page-faulted back in.  Both thresholds are set: setting either one
+    turns the dynamic mmap threshold off.  Process-wide, so only the
+    command sets it, never ``import drpi``; a no-op on other C libraries.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: heap-allocate blocks up to 32 MiB
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep up to 64 MiB free at the heap top
+
+
 def parse_and_dispatch(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -319,6 +345,7 @@ def parse_and_dispatch(argv=None) -> int:
         "simulate": _cmd_simulate,
         "toy-power": _cmd_toy_power,
     }[args.subcommand]
+    _keep_freed_memory()
     try:
         return handler(args)
     except (DataError, OSError) as exc:

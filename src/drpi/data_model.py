@@ -54,6 +54,16 @@ class SkipRecord:
     reason: str
 
 
+def _first_repeat(names):
+    """The first name that occurs a second time in ``names``, or None."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            return name
+        seen.add(name)
+    return None
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Immutable outcome/mask/covariate bundle.
@@ -94,6 +104,10 @@ class Dataset:
             raise DataError("label counts do not match matrix shape")
         if len(self.covariate_names) != q:
             raise DataError("covariate name count does not match q")
+        for what, names in (("peptide id", self.peptide_ids), ("covariate", self.covariate_names)):
+            dup = _first_repeat(names)
+            if dup is not None:
+                raise DataError(f"duplicate {what} {dup!r}")
         for a in (y, m, w):
             a.setflags(write=False)
         object.__setattr__(self, "y_obs", y)

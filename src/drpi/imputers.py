@@ -53,6 +53,16 @@ class ImputerConfig:
             raise DataError("rank_penalty (soft-impute lambda) must be >= 0")
 
 
+def check_shape(backend: str, cfg: ImputerConfig, n: int, p: int) -> None:
+    """Raise DataError if ``backend`` cannot fit an n x p matrix under
+    ``cfg``: soft-impute needs max_rank <= min(n, p), knn and knn2 need
+    k_neighbors < p."""
+    if backend == "soft" and cfg.max_rank > min(n, p):
+        raise DataError("max_rank exceeds min(n, p)")
+    if backend in ("knn", "knn2") and cfg.k_neighbors >= p:
+        raise DataError("k_neighbors must be < p")
+
+
 def _column_means(d: Dataset) -> np.ndarray:
     counts = d.mask.sum(axis=0)
     sums = np.where(d.mask == 1, d.y_obs, 0.0).sum(axis=0)
@@ -134,8 +144,7 @@ def impute_soft(d: Dataset, cfg: ImputerConfig = None) -> ImputedMatrix:
     (the last relative Frobenius change).
     """
     cfg = cfg or ImputerConfig(backend="soft")
-    if cfg.max_rank > min(d.n, d.p):
-        raise DataError("max_rank exceeds min(n, p)")
+    check_shape("soft", cfg, d.n, d.p)
     wfit = _lowdim_matrix(d)
     obs = d.mask == 1
     resid = np.where(obs, d.y_obs - wfit, 0.0)
@@ -232,9 +241,8 @@ def impute_knn(d: Dataset, cfg: ImputerConfig = None) -> ImputedMatrix:
     matrix.
     """
     cfg = cfg or ImputerConfig(backend="knn")
+    check_shape("knn", cfg, d.n, d.p)
     k = cfg.k_neighbors
-    if k >= d.p:
-        raise DataError("k_neighbors must be < p")
     obs = d.mask.astype(float)
     yz = np.where(d.mask == 1, d.y_obs, 0.0)
     counts, mean_a, sim = _pairwise_stats(obs, yz)

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import dr_inference, multiple_testing
+from . import dr_inference, imputers, multiple_testing
 from .data_model import Dataset, MethodKind, _parse_cells, _read_csv, _write_csv
 from .dr_inference import InferenceConfig
 from .errors import DataError, NumericalError
@@ -44,6 +44,11 @@ class SimConfig:
             raise DataError("mcar_prob must be in [0, 1)")
         if not -1.0 < self.noise_rho < 1.0:
             raise DataError("noise_rho must be in (-1, 1)")
+        if self.p < 1:
+            raise DataError(f"p must be >= 1, got {self.p}")
+        q = 2 if self.model == 1 else 3  # intercept, a, and x outside model 1
+        if self.n <= q:
+            raise DataError(f"need n > q, got n={self.n}, q={q}")
         if self.reps < 1:
             raise DataError(f"reps must be >= 1, got {self.reps}")
         for cut in self.cutoffs:
@@ -265,7 +270,8 @@ def run_benchmark(
 
     Each repetition owns a seed substream derived from (seed, rep), so the
     result is identical for any thread count.  The noise covariance is
-    factored once and shared read-only.  A repetition that raises DataError
+    factored once and shared read-only.  A shape the imputer cannot fit is
+    refused before any repetition runs; a repetition that raises DataError
     or NumericalError is recorded in ``failed_reps``, with threads as
     without.
     """
@@ -273,6 +279,8 @@ def run_benchmark(
         raise DataError(f"threads must be >= 0, got {threads}")
     methods = tuple(methods)
     inf_cfg = inf_cfg or InferenceConfig(target="a")
+    if any(dr_inference._needs_augmented(m) for m in methods):
+        imputers.check_shape(inf_cfg.imputer.backend, inf_cfg.imputer, cfg.n, cfg.p)
     try:
         run_cfg = _FactoredConfig(**vars(cfg), chol=_noise_factor(cfg))
     except (DataError, NumericalError):

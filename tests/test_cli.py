@@ -1,13 +1,15 @@
 import contextlib
 import csv
+import ctypes
 import logging
+import platform
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from drpi import sim_bench
+from drpi import cli, sim_bench
 from drpi.cli import _parse_rho_grid, emit_volcano_data, parse_and_dispatch
 from drpi.data_model import (
     Dataset, MethodKind, PeptideInference, filter_by_rate, load_dataset, write_dataset,
@@ -185,13 +187,23 @@ def test_external_nu_without_external_imputer_exits_2(csv_pair, tmp_path, capsys
     (("toy-power", "--n", "40", "--rho", "a:b"), "'a'"),
     (("toy-power", "--n", "40", "--rho", "0.1,zz"), "'zz'"),
     (("toy-power", "--n", "40", "--rho", "0:1:0"), "step"),
+    (("simulate", "--n", "40", "--p", "0"), "p must be >= 1"),
+    (("simulate", "--n", "3", "--p", "5"), "need n > q"),
+    (("simulate", "--model", "1", "--n", "2", "--p", "5"), "need n > q"),
+    (("simulate", "--n", "40", "--p", "20", "--imputer", "knn", "--imputer-k", "30"),
+     "k_neighbors"),
+    (("simulate", "--n", "40", "--p", "20", "--imputer", "knn2", "--imputer-k", "20"),
+     "k_neighbors"),
+    (("simulate", "--n", "40", "--p", "5"), "max_rank exceeds min(n, p)"),
 ])
 def test_empty_or_out_of_range_run_exits_2(argv, field, tmp_path, capsys, monkeypatch):
     """No repetitions or a cutoff outside (0, 1) would write an all-NaN
     table, and toy-power with no repetitions would divide by zero; each is
     refused before any repetition runs.  So is a list flag with a token
     that does not parse, or a rho grid whose step is not positive, with a
-    message that names it."""
+    message that names it, and a shape that would fail every repetition:
+    no columns, no more samples than covariates, or too few columns for
+    the imputer's neighbour count or rank cap."""
     monkeypatch.setattr(sim_bench, "_run_rep", lambda *a: pytest.fail("a repetition ran"))
     out = tmp_path / "out.csv"
     assert run_cli(*argv, "--out", str(out), "--quiet") == 2
@@ -207,6 +219,36 @@ def test_version_via_subprocess():
     )
     assert proc.returncode == 0
     assert "drpi" in proc.stdout
+
+
+@pytest.mark.parametrize("libc", ["unloadable", "without_mallopt"])
+def test_analyze_without_mallopt_writes_the_same_results(libc, csv_pair, tmp_path, monkeypatch):
+    """Where the C library cannot be opened, or has no mallopt, the
+    allocator setting is skipped and analyze writes what it writes with it."""
+    def args(out):
+        return [
+            "analyze", "--outcomes", str(csv_pair[0]), "--covariates", str(csv_pair[1]),
+            "--target", "a", "--imputer", "lowdim", "--out", str(out), "--quiet",
+        ]
+
+    opened = []
+
+    def cdll(name):
+        opened.append(name)
+        if libc == "unloadable":
+            raise OSError("cannot open the C library")
+        return object()
+
+    assert run_cli(*args(tmp_path / "want.csv")) == 0
+    monkeypatch.setattr(platform, "libc_ver", lambda: ("glibc", "2.36"))
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    cli._keep_freed_memory.cache_clear()
+    try:
+        assert run_cli(*args(tmp_path / "got.csv")) == 0
+    finally:
+        cli._keep_freed_memory.cache_clear()
+    assert opened == [None]
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_analyze_end_to_end(csv_pair, tmp_path):
@@ -315,6 +357,48 @@ def test_analyze_imputes_on_the_feed_set(tmp_path):
     assert got == [(r.peptide_id, r.beta, r.se, r.p_value) for r in want]
     kept_only, _ = infer_all(kept, MethodKind.DR_UW, cfg)
     assert [r.beta for r in kept_only] != [r.beta for r in want]
+
+
+@pytest.mark.parametrize("threshold", [None, "0.5"])
+def test_analyze_duplicate_peptide_id_exits_2(threshold, tmp_path, capsys):
+    """A header that names pep3 twice, one copy observed in 30% of rows,
+    is refused: results would hold two pep3 rows, and with an observation
+    threshold the feed-set imputation would keep both copies."""
+    rng = np.random.default_rng(3)
+    n, p = 60, 20
+    y = rng.normal(size=(n, p))
+    y[rng.random(n) > 0.3, 4] = np.nan
+    y_csv, w_csv, out = tmp_path / "y.csv", tmp_path / "w.csv", tmp_path / "r.csv"
+    header = [f"pep{j}" for j in range(p)]
+    header[4] = "pep3"
+    with open(y_csv, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *([repr(v) if v == v else "" for v in row.tolist()]
+                                            for row in y)])
+    w_csv.write_text("a\n" + "".join(f"{i % 2}\n" for i in range(n)))
+    extra = ["--obs-threshold", threshold] if threshold else []
+    code = run_cli(
+        "analyze", "--outcomes", str(y_csv), "--covariates", str(w_csv), "--target", "a",
+        "--imputer", "lowdim", *extra, "--out", str(out), "--quiet",
+    )
+    assert code == 2
+    assert "duplicate peptide id 'pep3'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("names", ["a,a", "intercept,a"])
+def test_analyze_duplicate_covariate_exits_2(names, csv_pair, tmp_path, capsys):
+    """Two covariates of one name, or one named like the added intercept,
+    would make --target ambiguous."""
+    rows = csv_pair[1].read_text().splitlines()[1:]
+    w_csv, out = tmp_path / "w2.csv", tmp_path / "r.csv"
+    w_csv.write_text(names + "\n" + "".join(f"{v},{i}\n" for i, v in enumerate(rows)))
+    code = run_cli(
+        "analyze", "--outcomes", str(csv_pair[0]), "--covariates", str(w_csv), "--target", "a",
+        "--imputer", "lowdim", "--out", str(out), "--quiet",
+    )
+    assert code == 2
+    assert f"duplicate covariate {names.split(',')[0]!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.fixture
@@ -426,16 +510,21 @@ def test_simulate_writes_summary(tmp_path):
     assert {r["metric"] for r in rows} == {"fdr", "tpr"}
 
 
-@pytest.mark.parametrize("argv,reason", [
-    (("--n", "3", "--p", "5"), "need n > q"),
-    (("--n", "40", "--p", "0"), "max_rank exceeds"),
-    (("--n", "40", "--p", "20", "--imputer", "knn", "--imputer-k", "30"), "k_neighbors"),
-])
-def test_simulate_with_every_repetition_failed_exits_2(argv, reason, tmp_path, capsys):
+@pytest.mark.parametrize("cov,reason", [
+    ("1,2\n2,1\n", "covariance not SPD"),
+    ("1,0,0\n0,1,0\n0,0,1\n", "need p=2"),
+], ids=["not_spd", "wrong_size"])
+def test_simulate_with_every_repetition_failed_exits_2(cov, reason, tmp_path, capsys):
     """A run in which no repetition succeeded has nothing to summarize: it
     exits 2 with the first failure's reason and writes no table."""
+    cov_csv = tmp_path / "cov.csv"
+    cov_csv.write_text(cov)
     out = tmp_path / "bench.csv"
-    assert run_cli("simulate", *argv, "--reps", "2", "--out", str(out), "--quiet") == 2
+    code = run_cli(
+        "simulate", "--n", "40", "--p", "2", "--imputer", "lowdim", "--cov-csv", str(cov_csv),
+        "--reps", "2", "--out", str(out), "--quiet",
+    )
+    assert code == 2
     err = capsys.readouterr().err
     assert "all 2 repetitions failed; repetition 0:" in err and reason in err
     assert not out.exists()

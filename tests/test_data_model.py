@@ -280,6 +280,19 @@ def test_write_load_round_trip(tmp_path):
     np.testing.assert_array_equal(d2.w, d.w)
 
 
+@pytest.mark.parametrize("labels,message", [
+    ({"peptide_ids": ("p0", "p1", "p0", "p1")}, "duplicate peptide id 'p0'"),
+    ({"covariate_names": ("intercept", "x", "x")}, "duplicate covariate 'x'"),
+])
+def test_duplicate_labels_refused(labels, message):
+    """A repeated peptide id or covariate name would make lookups by name
+    ambiguous; the first name seen again is reported."""
+    rng = np.random.default_rng(0)
+    w = np.column_stack([np.ones(8), rng.normal(size=(8, 2))])
+    with pytest.raises(DataError, match=message):
+        make_dataset(rng.normal(size=(8, 4)), np.ones((8, 4), dtype=np.int8), w, **labels)
+
+
 def test_dataset_immutable():
     d = make_dataset(
         np.ones((5, 2)), np.ones((5, 2), dtype=np.int8),

@@ -100,3 +100,13 @@ def test_only_data_model_imports_csv():
     """The CSV format is read and written in one module."""
     users = [p.name for p in sorted(SRC.glob("*.py")) if "csv" in imported_modules(p.read_text())]
     assert users == ["data_model.py"]
+
+
+def test_only_cli_names_ctypes():
+    """The process-wide allocator setting is made by the command alone, so
+    importing drpi as a library changes nothing in the caller's process."""
+    users = [
+        p.name for p in sorted(SRC.glob("*.py"))
+        if "ctypes" in imported_modules(p.read_text()) | referenced_names(p.read_text())
+    ]
+    assert users == ["cli.py"]

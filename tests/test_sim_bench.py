@@ -140,6 +140,12 @@ def test_config_validation():
         SimConfig(noise_rho=1.0)
     with pytest.raises(DataError, match="reps"):
         SimConfig(reps=0)
+    with pytest.raises(DataError, match="p must be >= 1"):
+        SimConfig(p=0)
+    for model, n in [(1, 2), (3, 3)]:  # q = 2 in model 1, 3 otherwise
+        with pytest.raises(DataError, match="need n > q"):
+            SimConfig(model=model, n=n)
+    SimConfig(model=1, n=3)
     for cutoffs in [(0.05, 0.0), (float("nan"),)]:
         with pytest.raises(DataError, match="alpha"):
             SimConfig(cutoffs=cutoffs)
@@ -223,6 +229,25 @@ def test_failed_reps_recorded_for_any_thread_count(tmp_path):
     threaded = run_benchmark(cfg, (MethodKind.DR_UW,), inf_cfg=inf, threads=2)
     assert [rep for rep, _ in serial.failed_reps] == [0, 1, 2]
     assert threaded.failed_reps == serial.failed_reps
+
+
+@pytest.mark.parametrize("imputer,field", [
+    (ImputerConfig(backend="knn", k_neighbors=20), "k_neighbors"),
+    (ImputerConfig(backend="knn2", k_neighbors=25), "k_neighbors"),
+    (ImputerConfig(backend="soft", max_rank=21), "max_rank"),
+])
+def test_imputer_shape_refused_before_any_repetition(imputer, field, monkeypatch):
+    """A shape the imputer cannot fit fails every repetition, so it is
+    refused up front; a run whose methods never impute is not."""
+    cfg = SimConfig(model=3, n=60, p=20, seed=1, reps=2)
+    inf = InferenceConfig(target="a", imputer=imputer)
+    run_rep = sim_bench._run_rep
+    monkeypatch.setattr(sim_bench, "_run_rep", lambda *a: pytest.fail("a repetition ran"))
+    with pytest.raises(DataError, match=field):
+        run_benchmark(cfg, (MethodKind.COMPLETE, MethodKind.DR_UW), inf_cfg=inf)
+    monkeypatch.setattr(sim_bench, "_run_rep", run_rep)
+    res = run_benchmark(cfg, (MethodKind.COMPLETE, MethodKind.DR_W), inf_cfg=inf)
+    assert res.failed_reps == []
 
 
 def test_summary_of_no_repetitions_is_nan_without_warnings():
