@@ -7,7 +7,7 @@ import functools
 import logging
 import platform
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -32,18 +32,36 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# sizes a --preset pins; explicit --n, --p and --reps override them
+_PRESETS = {"": {}, "desk": {"n": 200, "p": 300, "reps": 100}, "paper": {"p": 1000, "reps": 200}}
+
+
 def _add_common(sp):
     sp.add_argument("--config", help="flat key=value config file; flags override")
-    sp.add_argument("--quiet", action="store_true", help="suppress progress logging")
+    sp.add_argument(
+        "--quiet", action="store_true", default=False, help="suppress progress logging"
+    )
     sp.add_argument("--log-level", default="info")
 
 
+def _add_imputer(sp, backends):
+    sp.add_argument("--imputer", dest="backend", choices=backends)
+    sp.add_argument("--imputer-lambda", dest="rank_penalty", type=float)
+    sp.add_argument("--imputer-rank", dest="max_rank", type=int)
+    sp.add_argument("--imputer-k", dest="k_neighbors", type=int)
+
+
 def build_parser() -> _Parser:
+    """A flag whose dest is a library field or parameter states no default:
+    each subcommand's ``argument_default`` leaves it out of the namespace
+    unless given, so the library's own default applies.  Flags that only the
+    command reads state theirs here."""
     parser = _Parser(prog="drpi", description=__doc__)
     parser.add_argument("--version", action="version", version=f"drpi {__version__}")
     sub = parser.add_subparsers(dest="subcommand")
+    add = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    an = sub.add_parser("analyze", parents=[], help="per-peptide inference on CSVs")
+    an = add("analyze", help="per-peptide inference on CSVs")
     an.add_argument("--outcomes", required=True)
     an.add_argument("--covariates", required=True)
     an.add_argument("--target", required=True, help="covariate of interest by name")
@@ -53,66 +71,68 @@ def build_parser() -> _Parser:
         default="dr_uw",
         choices=[m.value for m in MethodKind if m is not MethodKind.FULL],
     )
-    an.add_argument("--imputer", default="soft", choices=_IMPUTER_FLAGS)
-    an.add_argument("--imputer-lambda", type=float, default=float("nan"))
-    an.add_argument("--imputer-rank", type=int, default=10)
-    an.add_argument("--imputer-k", type=int, default=10)
+    _add_imputer(an, _IMPUTER_FLAGS)
     an.add_argument(
-        "--external-nu", default="", help="fitted means; with --obs-threshold, of the feed set"
+        "--external-nu",
+        dest="external_path",
+        help="fitted means; with --obs-threshold, of the feed set",
     )
     an.add_argument("--alpha", type=float, default=0.05)
-    an.add_argument("--missing-token", default="")
+    an.add_argument("--missing-token")
     an.add_argument("--mask", default=None, help="optional 0/1 mask CSV")
-    an.add_argument("--no-intercept", action="store_true")
+    an.add_argument("--no-intercept", action="store_true", default=False)
     an.add_argument("--obs-threshold", type=float, default=0.0)
-    an.add_argument(
-        "--feed-threshold", type=float, default=0.2, help="observation rate to feed the imputer"
-    )
-    an.add_argument("--variance", default="", choices=["", "sandwich", "homoskedastic"])
+    an.add_argument("--feed-threshold", type=float, help="observation rate to feed the imputer")
+    an.add_argument("--variance", dest="variance_mode", choices=["", "sandwich", "homoskedastic"])
     an.add_argument("--cross-fit", type=int, default=0, metavar="K")
-    an.add_argument("--prop-tol", type=float, default=1e-8)
-    an.add_argument("--prop-max-iter", type=int, default=100)
-    an.add_argument("--prop-clip", type=float, default=0.01)
+    an.add_argument("--prop-tol", type=float)
+    an.add_argument("--prop-max-iter", type=int)
+    an.add_argument("--prop-clip", type=float)
     an.add_argument("--volcano", default="", help="also write volcano-plot CSV here")
     _add_common(an)
 
-    si = sub.add_parser("simulate", help="FDR/TPR benchmark on synthetic data")
-    si.add_argument("--model", type=int, default=3, choices=[1, 2, 3, 4])
-    si.add_argument("--n", type=int, default=200)
-    si.add_argument("--p", type=int, default=300)
-    si.add_argument("--reps", type=int, default=100)
-    si.add_argument("--seed", type=int, default=0)
-    si.add_argument("--signal-frac", type=float, default=0.1)
-    si.add_argument("--signal-c", type=float, default=float("nan"))
-    si.add_argument("--cov-rho", type=float, default=0.5)
-    si.add_argument("--cov-csv", default="")
-    si.add_argument("--mcar-prob", type=float, default=0.3)
+    si = add("simulate", help="FDR/TPR benchmark on synthetic data")
+    si.add_argument("--model", type=int, choices=[1, 2, 3, 4])
+    si.add_argument("--n", type=int)
+    si.add_argument("--p", type=int)
+    si.add_argument("--reps", type=int)
+    si.add_argument("--seed", type=int)
+    si.add_argument("--signal-frac", type=float)
+    si.add_argument("--signal-c", type=float)
+    si.add_argument("--cov-rho", dest="noise_rho", type=float)
+    si.add_argument("--cov-csv")
+    si.add_argument("--mcar-prob", type=float)
     si.add_argument(
-        "--methods", default="full,complete,plugin,plugin_missing,dr_w,dr_uw"
+        "--methods",
+        type=_list_of("--methods", MethodKind),
+        default="full,complete,plugin,plugin_missing,dr_w,dr_uw",
     )
-    si.add_argument("--cutoffs", default="0.05")
-    si.add_argument("--imputer", default="soft", choices=_IMPUTER_FLAGS[:-1])
-    si.add_argument("--imputer-lambda", type=float, default=float("nan"))
-    si.add_argument("--imputer-rank", type=int, default=10)
-    si.add_argument("--imputer-k", type=int, default=10)
+    si.add_argument("--cutoffs", type=_list_of("--cutoffs", float))
+    _add_imputer(si, _IMPUTER_FLAGS[:-1])
     si.add_argument(
         "--preset",
         default="",
-        choices=["", "desk", "paper"],
-        help="desk: n=200 p=300 reps=100; paper: p=1000 reps=200",
+        choices=list(_PRESETS),
+        help="; ".join(
+            f"{name}: " + " ".join(f"{k}={v}" for k, v in sizes.items())
+            for name, sizes in _PRESETS.items()
+            if name
+        ),
     )
     si.add_argument("--out", required=True)
     si.add_argument("--threads", type=int, default=0, help="0 = single-threaded")
     _add_common(si)
 
-    tp = sub.add_parser("toy-power", help="power of W vs UW pseudo-outcomes")
-    tp.add_argument("--rho", default="0.1:1.0:0.1", help="start:stop:step grid")
-    tp.add_argument("--n", type=int, default=200)
-    tp.add_argument("--beta", type=float, default=0.2)
-    tp.add_argument("--delta", type=float, default=0.7)
-    tp.add_argument("--reps", type=int, default=5000)
-    tp.add_argument("--alpha", type=float, default=0.05)
-    tp.add_argument("--seed", type=int, default=0)
+    tp = add("toy-power", help="power of W vs UW pseudo-outcomes")
+    tp.add_argument(
+        "--rho", type=_parse_rho_grid, default="0.1:1.0:0.1", help="start:stop:step grid"
+    )
+    tp.add_argument("--n", type=int)
+    tp.add_argument("--beta", type=float)
+    tp.add_argument("--delta", type=float)
+    tp.add_argument("--reps", type=int)
+    tp.add_argument("--alpha", type=float)
+    tp.add_argument("--seed", type=int)
     tp.add_argument("--out", required=True)
     _add_common(tp)
     return parser
@@ -160,6 +180,11 @@ def _parse_list(flag, tokens, convert=float):
     return out
 
 
+def _list_of(flag, convert):
+    """argparse ``type`` for a comma-separated list flag."""
+    return lambda spec: tuple(_parse_list(flag, spec.split(","), convert))
+
+
 def _parse_rho_grid(spec: str):
     if ":" in spec:
         bounds = _parse_list("--rho", spec.split(":"))
@@ -174,43 +199,36 @@ def _parse_rho_grid(spec: str):
     return np.round(grid, 10)
 
 
-def _imputer_cfg(args) -> ImputerConfig:
-    return ImputerConfig(
-        backend=args.imputer,
-        rank_penalty=args.imputer_lambda,
-        max_rank=args.imputer_rank,
-        k_neighbors=args.imputer_k,
-        external_path=getattr(args, "external_nu", ""),
-    )
+def _given(args, names):
+    """The flags among ``names`` (dests) that the user gave; a flag left out
+    takes the library's default."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
+def _config(cls, args, **base):
+    """Dataclass ``cls`` from the given flags named after its fields, over ``base``."""
+    return cls(**{**base, **_given(args, [f.name for f in fields(cls)])})
 
 
 def _cmd_analyze(args) -> int:
-    if (args.imputer == "external") != bool(args.external_nu):
+    cfg = _config(InferenceConfig, args, imputer=_config(ImputerConfig, args))
+    if (cfg.imputer.backend == "external") != bool(cfg.imputer.external_path):
         raise DataError("--external-nu and --imputer external must be given together")
-    for flag in ("obs_threshold", "feed_threshold"):
-        rate = getattr(args, flag)
+    for flag, rate in _given(args, ("obs_threshold", "feed_threshold")).items():
         if not 0.0 <= rate <= 1.0:
             raise DataError(f"--{flag.replace('_', '-')} must be in [0, 1], got {rate:g}")
     method = MethodKind(args.method)
     multiple_testing.check_alpha(args.alpha)
-    cfg = InferenceConfig(
-        target=args.target,
-        variance_mode=args.variance,
-        prop_tol=args.prop_tol,
-        prop_max_iter=args.prop_max_iter,
-        prop_clip=args.prop_clip,
-        imputer=_imputer_cfg(args),
-    )
     d = load_dataset(
         args.outcomes,
         args.covariates,
-        missing_token=args.missing_token,
         mask_path=args.mask,
         add_intercept=not args.no_intercept,
+        **_given(args, ("missing_token",)),
     )
     nu_hat = None
     if args.obs_threshold > 0:
-        d, d_feed = filter_by_rate(d, args.obs_threshold, args.feed_threshold)
+        d, d_feed = filter_by_rate(d, args.obs_threshold, **_given(args, ("feed_threshold",)))
         log.info("kept %d/%d columns for inference", d.p, d_feed.p)
         if not args.cross_fit and dr_inference._needs_augmented(method):
             # impute on the wider feed set, infer on the kept columns
@@ -249,48 +267,22 @@ def emit_volcano_data(results, path):
 
 
 def _cmd_simulate(args) -> int:
-    n, p, reps = args.n, args.p, args.reps
-    if args.preset == "desk":
-        n, p, reps = 200, 300, 100
-    elif args.preset == "paper":
-        p, reps = 1000, 200
-    cutoffs = tuple(_parse_list("--cutoffs", args.cutoffs.split(",")))
-    methods = tuple(_parse_list("--methods", args.methods.split(","), MethodKind))
-    cfg = sim_bench.SimConfig(
-        model=args.model,
-        n=n,
-        p=p,
-        signal_frac=args.signal_frac,
-        signal_c=args.signal_c,
-        noise_rho=args.cov_rho,
-        cov_csv=args.cov_csv,
-        mcar_prob=args.mcar_prob,
-        seed=args.seed,
-        reps=reps,
-        cutoffs=cutoffs,
-    )
-    inf_cfg = InferenceConfig(target="a", imputer=_imputer_cfg(args))
-    result = sim_bench.run_benchmark(cfg, methods, inf_cfg, threads=args.threads)
+    cfg = _config(sim_bench.SimConfig, args, **_PRESETS[args.preset])
+    inf_cfg = _config(InferenceConfig, args, target="a", imputer=_config(ImputerConfig, args))
+    result = sim_bench.run_benchmark(cfg, args.methods, inf_cfg, threads=args.threads)
     for rep, why in result.failed_reps:
         log.warning("repetition %d failed: %s", rep, why)
-    if len(result.failed_reps) == reps:
+    if len(result.failed_reps) == cfg.reps:
         rep, why = result.failed_reps[0]
-        raise DataError(f"all {reps} repetitions failed; repetition {rep}: {why}")
+        raise DataError(f"all {cfg.reps} repetitions failed; repetition {rep}: {why}")
     result.to_csv(args.out)
-    log.info("wrote %s (%d reps, %d failed)", args.out, reps, len(result.failed_reps))
+    log.info("wrote %s (%d reps, %d failed)", args.out, cfg.reps, len(result.failed_reps))
     return 0
 
 
 def _cmd_toy_power(args) -> int:
-    rows = sim_bench.toy_power_experiment(
-        _parse_rho_grid(args.rho),
-        n=args.n,
-        beta=args.beta,
-        delta=args.delta,
-        reps=args.reps,
-        alpha=args.alpha,
-        seed=args.seed,
-    )
+    params = ("n", "beta", "delta", "reps", "alpha", "seed")
+    rows = sim_bench.toy_power_experiment(args.rho, **_given(args, params))
     sim_bench.toy_power_to_csv(rows, args.out)
     log.info("wrote %s", args.out)
     return 0
@@ -328,8 +320,8 @@ def parse_and_dispatch(argv=None) -> int:
     except _UsageError as exc:
         print(f"drpi: error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
-        print(f"drpi: error: {exc}", file=sys.stderr)
+    except DataError as exc:  # a bad --config line or list-flag value
+        print(f"drpi: data error: {exc}", file=sys.stderr)
         return 2
     if args.subcommand is None:
         parser.print_usage(sys.stderr)

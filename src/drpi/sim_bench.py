@@ -92,7 +92,7 @@ def _cholesky_spd(cov: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.cholesky(jittered)
     except np.linalg.LinAlgError:
-        raise NumericalError("covariance not SPD after jitter") from None
+        raise DataError("covariance not SPD after jitter") from None
 
 
 def gen_noise(
@@ -134,17 +134,14 @@ def _noise_factor(cfg: SimConfig) -> np.ndarray:
     return _cholesky_spd(cov)
 
 
-@dataclass
-class _FactoredConfig(SimConfig):
-    """A SimConfig with its noise covariance's Cholesky factor, so that every
-    repetition of a run draws from one factorization."""
+def gen_dataset(cfg: SimConfig, rep: int = 0, chol: np.ndarray = None):
+    """One repetition's (Dataset, SimTruth) under the configured scenario.
 
-    chol: np.ndarray = None
-
-
-def gen_dataset(cfg: SimConfig, rep: int = 0):
-    """One repetition's (Dataset, SimTruth) under the configured scenario."""
-    chol = cfg.chol if isinstance(cfg, _FactoredConfig) else _noise_factor(cfg)
+    ``chol`` is the noise covariance's Cholesky factor, so that every
+    repetition of a run draws from one factorization; factored here if None.
+    """
+    if chol is None:
+        chol = _noise_factor(cfg)
     rng = _rep_rng(cfg.seed, rep)
     n, p = cfg.n, cfg.p
     a = np.zeros(n)
@@ -235,8 +232,8 @@ class BenchResult:
         _write_csv(path, cols, ([row[c] for c in cols] for row in self.summary()))
 
 
-def _run_rep(cfg: SimConfig, rep: int, methods, inf_cfg: InferenceConfig):
-    d, truth = gen_dataset(cfg, rep)
+def _run_rep(cfg: SimConfig, rep: int, methods, inf_cfg: InferenceConfig, chol=None):
+    d, truth = gen_dataset(cfg, rep, chol)
     nu_aug, mu_low, prop = dr_inference._nuisances(d, methods, inf_cfg)
 
     out = {}
@@ -270,10 +267,10 @@ def run_benchmark(
 
     Each repetition owns a seed substream derived from (seed, rep), so the
     result is identical for any thread count.  The noise covariance is
-    factored once and shared read-only.  A shape the imputer cannot fit is
-    refused before any repetition runs; a repetition that raises DataError
-    or NumericalError is recorded in ``failed_reps``, with threads as
-    without.
+    factored once and shared read-only.  A covariance that cannot be used
+    and a shape the imputer cannot fit are refused before any repetition
+    runs; a repetition that raises DataError or NumericalError is recorded
+    in ``failed_reps``, with threads as without.
     """
     if threads < 0:
         raise DataError(f"threads must be >= 0, got {threads}")
@@ -281,14 +278,11 @@ def run_benchmark(
     inf_cfg = inf_cfg or InferenceConfig(target="a")
     if any(dr_inference._needs_augmented(m) for m in methods):
         imputers.check_shape(inf_cfg.imputer.backend, inf_cfg.imputer, cfg.n, cfg.p)
-    try:
-        run_cfg = _FactoredConfig(**vars(cfg), chol=_noise_factor(cfg))
-    except (DataError, NumericalError):
-        run_cfg = cfg  # every repetition raises the same error below
+    chol = _noise_factor(cfg)
 
     def work(rep):
         try:
-            return _run_rep(run_cfg, rep, methods, inf_cfg), None
+            return _run_rep(cfg, rep, methods, inf_cfg, chol), None
         except (DataError, NumericalError) as exc:
             return None, (rep, str(exc))
 

@@ -1,6 +1,8 @@
+import argparse
 import contextlib
 import csv
 import ctypes
+import inspect
 import logging
 import platform
 import subprocess
@@ -9,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from drpi import cli, sim_bench
+from drpi import cli, dr_inference, sim_bench
 from drpi.cli import _parse_rho_grid, emit_volcano_data, parse_and_dispatch
 from drpi.data_model import (
     Dataset, MethodKind, PeptideInference, filter_by_rate, load_dataset, write_dataset,
@@ -490,6 +492,69 @@ def test_config_file_flag_precedence(csv_pair, tmp_path):
     assert rows[0]["method"] == "complete"
 
 
+class _Captured(Exception):
+    """Raised by a stand-in to hand back the call it received."""
+
+
+def _capture(monkeypatch, module, name):
+    def stand_in(*args, **kwargs):
+        raise _Captured(args, kwargs)
+
+    monkeypatch.setattr(module, name, stand_in)
+
+
+def _captured_call(*argv):
+    """(args, kwargs) of the captured call that ``drpi *argv`` makes."""
+    with pytest.raises(_Captured) as info:
+        run_cli(*argv, "--quiet")
+    return info.value.args
+
+
+def test_explicit_sizes_override_preset(tmp_path, monkeypatch):
+    """--preset fills in the sizes left out, not the ones given."""
+    _capture(monkeypatch, sim_bench, "run_benchmark")
+    (cfg, *_), _ = _captured_call(
+        "simulate", "--preset", "desk", "--reps", "2", "--p", "20", "--out", str(tmp_path / "o")
+    )
+    assert (cfg.n, cfg.p, cfg.reps) == (200, 20, 2)
+
+
+def test_omitted_flags_take_the_library_defaults(csv_pair, tmp_path, monkeypatch):
+    """With only its required flags each command passes the library's own
+    defaults, and no flag that sets a library field or parameter states a
+    default of its own, so the two cannot drift apart."""
+    library = {
+        "analyze": (ImputerConfig, InferenceConfig, load_dataset, filter_by_rate),
+        "simulate": (ImputerConfig, InferenceConfig, SimConfig),
+        "toy-power": (sim_bench.toy_power_experiment,),
+    }
+    commands = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    mapped = []
+    for command, targets in library.items():
+        names = {name for t in targets for name in inspect.signature(t).parameters}
+        for action in commands[command]._actions:
+            if action.dest in names and not action.required:
+                assert action.default is argparse.SUPPRESS, (command, action.option_strings)
+                mapped.append(action.dest)
+    assert len(mapped) == 32
+
+    out = str(tmp_path / "o.csv")
+    _capture(monkeypatch, dr_inference, "infer_all")
+    (_, _, cfg), _ = _captured_call(
+        "analyze", "--outcomes", str(csv_pair[0]), "--covariates", str(csv_pair[1]),
+        "--target", "a", "--out", out,
+    )
+    assert cfg == InferenceConfig(target="a") and cfg.imputer == ImputerConfig()
+    _capture(monkeypatch, sim_bench, "run_benchmark")
+    (sim_cfg, _, inf_cfg), _ = _captured_call("simulate", "--out", out)
+    assert sim_cfg == SimConfig() and inf_cfg == InferenceConfig(target="a")
+    _capture(monkeypatch, sim_bench, "toy_power_experiment")
+    args, kwargs = _captured_call("toy-power", "--out", out)
+    assert len(args) == 1 and not kwargs  # the rho grid alone
+
+
 def test_simulate_writes_summary(tmp_path):
     out_path = tmp_path / "bench.csv"
     code = run_cli(
@@ -514,9 +579,12 @@ def test_simulate_writes_summary(tmp_path):
     ("1,2\n2,1\n", "covariance not SPD"),
     ("1,0,0\n0,1,0\n0,0,1\n", "need p=2"),
 ], ids=["not_spd", "wrong_size"])
-def test_simulate_with_every_repetition_failed_exits_2(cov, reason, tmp_path, capsys):
-    """A run in which no repetition succeeded has nothing to summarize: it
-    exits 2 with the first failure's reason and writes no table."""
+def test_simulate_unusable_covariance_exits_2_before_any_repetition(
+    cov, reason, tmp_path, capsys, monkeypatch
+):
+    """A --cov-csv that cannot be used would fail every repetition alike, so
+    the run stops before the first, names the reason and writes no table."""
+    monkeypatch.setattr(sim_bench, "_run_rep", lambda *a: pytest.fail("a repetition ran"))
     cov_csv = tmp_path / "cov.csv"
     cov_csv.write_text(cov)
     out = tmp_path / "bench.csv"
@@ -525,8 +593,25 @@ def test_simulate_with_every_repetition_failed_exits_2(cov, reason, tmp_path, ca
         "--reps", "2", "--out", str(out), "--quiet",
     )
     assert code == 2
+    assert reason in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_with_every_repetition_failed_exits_2(tmp_path, capsys, monkeypatch):
+    """A run in which no repetition succeeded has nothing to summarize: it
+    exits 2 with the first failure's reason and writes no table."""
+    def fail(cfg, rep, *rest):
+        raise DataError(f"no fit in repetition {rep}")
+
+    monkeypatch.setattr(sim_bench, "_run_rep", fail)
+    out = tmp_path / "bench.csv"
+    code = run_cli(
+        "simulate", "--n", "40", "--p", "20", "--imputer", "lowdim",
+        "--reps", "2", "--out", str(out), "--quiet",
+    )
+    assert code == 2
     err = capsys.readouterr().err
-    assert "all 2 repetitions failed; repetition 0:" in err and reason in err
+    assert "all 2 repetitions failed; repetition 0: no fit in repetition 0" in err
     assert not out.exists()
 
 

@@ -304,6 +304,26 @@ def test_cross_fit_collapse_no_missing():
         assert r_cf.beta == pytest.approx(r.beta, abs=1e-10)
 
 
+@pytest.mark.parametrize("backend", ["lowdim", "mean"])
+def test_cross_fit_skips_a_column_with_too_few_training_rows(backend):
+    """lowdim needs more than q observed training rows per fold, so a column
+    with q observed cells is skipped; the mean needs one, so a column whose
+    single observed cell lies in one fold is skipped.  Neither touches the
+    other columns' results."""
+    rng = np.random.default_rng(7)
+    d = _mar_dataset(rng)
+    observed = d.q if backend == "lowdim" else 1
+    y = np.column_stack([np.where(d.mask == 1, d.y_obs, 0.0), rng.normal(size=d.n)])
+    sparse = np.zeros((d.n, 1), dtype=np.int8)
+    sparse[rng.permutation(d.n)[:observed]] = 1
+    wider = make_dataset(y, np.hstack([d.mask, sparse]), d.w, covariate_names=d.covariate_names)
+    cfg = InferenceConfig(target="a", imputer=ImputerConfig(backend=backend))
+    res, skips = infer_all(wider, MethodKind.DR_UW, cfg, folds=4)
+    assert [(s.peptide_id, s.reason) for s in skips] == [("p5", "too few observed training rows")]
+    want, _ = infer_all(d, MethodKind.DR_UW, cfg, folds=4)
+    assert res == want
+
+
 def test_cross_fit_preconditions():
     rng = np.random.default_rng(9)
     d = _mar_dataset(rng, n=40)

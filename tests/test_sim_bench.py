@@ -6,7 +6,7 @@ import pytest
 from drpi import sim_bench
 from drpi.data_model import MethodKind
 from drpi.dr_inference import InferenceConfig
-from drpi.errors import DataError
+from drpi.errors import DataError, NumericalError
 from drpi.imputers import ImputerConfig
 from drpi.sim_bench import (
     SimConfig,
@@ -216,19 +216,35 @@ def test_benchmark_factors_the_noise_covariance_once(threads, monkeypatch):
     assert len(calls) == 1 + cfg.reps
 
 
-def test_failed_reps_recorded_for_any_thread_count(tmp_path):
-    """A non-SPD noise covariance fails every repetition."""
-    p = 5
-    cov = tmp_path / "cov.csv"
-    cov.write_text("\n".join(
-        ",".join("1.0" if i == j else "2.0" for j in range(p)) for i in range(p)
-    ))
-    cfg = SimConfig(model=3, n=60, p=p, seed=1, reps=3, cov_csv=str(cov))
+def test_failed_reps_recorded_for_any_thread_count(monkeypatch):
+    """A repetition that raises is recorded with its reason, in order, by
+    serial and threaded runs alike."""
+    def fail(cfg, rep, *rest):
+        raise (NumericalError if rep % 2 else DataError)(f"repetition {rep} fails")
+
+    monkeypatch.setattr(sim_bench, "_run_rep", fail)
+    cfg = SimConfig(model=3, n=60, p=5, seed=1, reps=3)
     inf = InferenceConfig(target="a", imputer=ImputerConfig(backend="lowdim"))
     serial = run_benchmark(cfg, (MethodKind.DR_UW,), inf_cfg=inf, threads=0)
     threaded = run_benchmark(cfg, (MethodKind.DR_UW,), inf_cfg=inf, threads=2)
-    assert [rep for rep, _ in serial.failed_reps] == [0, 1, 2]
+    assert serial.failed_reps == [(rep, f"repetition {rep} fails") for rep in range(3)]
     assert threaded.failed_reps == serial.failed_reps
+
+
+@pytest.mark.parametrize("cov,reason", [
+    ("1,2\n2,1\n", "covariance not SPD"),
+    ("1,0,0\n0,1,0\n0,0,1\n", "need p=2"),
+], ids=["not_spd", "wrong_size"])
+def test_unusable_covariance_refused_before_any_repetition(cov, reason, tmp_path, monkeypatch):
+    """A covariance that cannot be used would fail every repetition alike,
+    so it is refused before the first."""
+    path = tmp_path / "cov.csv"
+    path.write_text(cov)
+    cfg = SimConfig(model=3, n=40, p=2, seed=1, reps=2, cov_csv=str(path))
+    inf = InferenceConfig(target="a", imputer=ImputerConfig(backend="lowdim"))
+    monkeypatch.setattr(sim_bench, "_run_rep", lambda *a: pytest.fail("a repetition ran"))
+    with pytest.raises(DataError, match=reason):
+        run_benchmark(cfg, (MethodKind.DR_UW,), inf_cfg=inf, threads=2)
 
 
 @pytest.mark.parametrize("imputer,field", [
