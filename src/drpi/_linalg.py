@@ -33,6 +33,12 @@ def _outer_rows(w: np.ndarray) -> np.ndarray:
     return (w[:, :, None] * w[:, None, :]).reshape(n, q * q)
 
 
+def _constant_columns(w: np.ndarray) -> np.ndarray:
+    """(q,) mask of the columns of w that hold the same nonzero value on
+    every row: intercepts."""
+    return (w == w[:1]).all(axis=0) & (w[0] != 0)
+
+
 def _centred(w: np.ndarray):
     """(w @ a, a): when w has a nonzero constant column, an intercept, every
     non-constant column is shifted by its midrange, which the intercept
@@ -43,7 +49,7 @@ def _centred(w: np.ndarray):
     is constant on a fit's rows stays an exact power-of-two multiple of the
     intercept there and its gram still meets an exact zero pivot.
     """
-    const = (w == w[:1]).all(axis=0) & (w[0] != 0)
+    const = _constant_columns(w)
     if not const.any() or const.all():
         return w, None
     shift = np.where(const, 0.0, 0.5 * (w.min(axis=0) + w.max(axis=0)))

@@ -138,7 +138,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_config_file(parser, argv):
+def _apply_config_file(argv):
     """Apply key=value defaults from --config; precedence flag > file > default."""
     probe = _Parser(add_help=False)
     probe.add_argument("--config")
@@ -315,12 +315,12 @@ def parse_and_dispatch(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
+        argv = _apply_config_file(argv)
         args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"drpi: error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:  # a bad --config line or list-flag value
+    except (DataError, OSError) as exc:  # an unreadable or bad --config, a bad list-flag value
         print(f"drpi: data error: {exc}", file=sys.stderr)
         return 2
     if args.subcommand is None:

@@ -51,6 +51,10 @@ class ImputerConfig:
             raise DataError("max_rank (soft-impute rank cap) must be >= 0")
         if self.rank_penalty < 0:
             raise DataError("rank_penalty (soft-impute lambda) must be >= 0")
+        if self.max_iter < 1:
+            raise DataError("max_iter (soft-impute iterations) must be >= 1")
+        if not self.tol >= 0:
+            raise DataError("tol (soft-impute tolerance) must be >= 0")
 
 
 def check_shape(backend: str, cfg: ImputerConfig, n: int, p: int) -> None:

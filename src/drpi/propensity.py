@@ -7,6 +7,14 @@ whatever else is in the batch; ``fit_logistic`` is the one-column case.
 That matters because the step-halving test compares log-likelihoods that
 agree to rounding near the optimum.
 
+When W has an intercept (the first column holding the same nonzero value
+v on every row, as ``_linalg._constant_columns`` finds it), each column
+starts at its intercept-only MLE: coefficient logit(r)/v for its observed
+rate r, every probability r, log-likelihood n (r log r + (1-r) log(1-r)).
+That start is closed form, so it costs no pass of exp over the (p, n)
+array, and it saves about one Newton step per column over a start at
+zero, which a W without an intercept keeps.
+
 Each linear predictor eta is evaluated with one ``exp(-|eta|)``, which
 gives both the probabilities and the log-likelihood (``_prob_loglik``); the
 accepted step's probabilities carry into the next iteration.  The linear
@@ -24,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _solve_or_pinv
+from ._linalg import _constant_columns, _solve_or_pinv
 from .errors import DataError, NumericalError
 
 # a coefficient norm beyond this is reported as IRLS divergence
@@ -35,8 +43,12 @@ STEP_HALVINGS = 50
 def _exp_sigmoid(eta: np.ndarray):
     """(exp(-|eta|), sigmoid(eta)): 1 / (1 + e) for eta >= 0, e / (1 + e)
     below, so no exp overflows."""
-    e = np.exp(-np.abs(eta))
-    return e, np.where(eta >= 0, 1.0, e) / (1.0 + e)
+    e = np.abs(eta)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    prob = np.where(eta >= 0, 1.0, e)
+    prob /= 1.0 + e
+    return e, prob
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
@@ -47,7 +59,10 @@ def _prob_loglik(c, eta):
     """(sigmoid(eta), sum c*eta - log(1 + exp(eta)) over the last axis) from
     one exp(-|eta|)."""
     e, prob = _exp_sigmoid(eta)
-    ll = (c * eta).sum(axis=-1) - (np.maximum(eta, 0.0) + np.log1p(e)).sum(axis=-1)
+    ll = (c * eta).sum(axis=-1)
+    np.log1p(e, out=e)
+    e += np.maximum(eta, 0.0)
+    ll -= e.sum(axis=-1)
     return prob, ll
 
 
@@ -159,6 +174,10 @@ def fit_logistic_columns(
     weights stay bounded.  A constant column gets a constant-propensity fit
     with ``separated`` set, so fully observed columns flow through the same
     pipeline.
+
+    Every other column starts at its intercept-only fit when w has an
+    intercept (the first column with the same nonzero value v on every row
+    gets logit(rate)/v, the rest 0), and at zero otherwise.
     """
     c = np.asarray(c, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -182,7 +201,16 @@ def fit_logistic_columns(
     cols = np.flatnonzero(~separated)  # the active columns and their state
     ct = np.ascontiguousarray(c[:, cols].T)
     beta = coef[cols]
-    prob, ll = _prob_loglik(ct, _eta(wt, beta))
+    const = np.flatnonzero(_constant_columns(w))
+    if const.size:
+        # the intercept-only MLE: every row's probability is the column's rate
+        rate = ct.mean(axis=1)
+        log_r, log_1r = np.log(rate), np.log1p(-rate)
+        beta[:, const[0]] = (log_r - log_1r) / w[0, const[0]]
+        prob = np.repeat(rate[:, None], n, axis=1)
+        ll = n * (rate * log_r + (1.0 - rate) * log_1r)
+    else:
+        prob, ll = _prob_loglik(ct, _eta(wt, beta))
 
     for it in range(1, max_iter + 1):
         if cols.size == 0:
@@ -219,7 +247,6 @@ def fit_logistic_columns(
         accept[pending] = False
         moved = search[accept]
         beta[moved] = cand[accept]
-        prob[moved] = prob_new[accept]
         stalled = np.zeros(cols.size, dtype=bool)
         stalled[moved] = ll_new[accept] - ll[moved] <= ll_tol[moved]
         ll[moved] = ll_new[accept]
@@ -231,7 +258,10 @@ def fit_logistic_columns(
         coef[cols[done]] = beta[done]
         iterations[cols[done]] = it
         keep = ~done
-        cols, ct, beta, prob, ll = cols[keep], ct[keep], beta[keep], prob[keep], ll[keep]
+        left = keep[search]  # every column left moved: its probabilities are the candidate's
+        prob = prob_new if left.all() else prob_new[left]
+        if done.any():
+            cols, ct, beta, ll = cols[keep], ct[keep], beta[keep], ll[keep]
     coef[cols] = beta  # out of iterations, not converged
     iterations[cols] = max_iter
 

@@ -1,8 +1,9 @@
 """Column-at-a-time reference estimators for the batched core.
 
 One column per call, with the arithmetic of the original loop
-implementation: ``fit_logistic`` below is that IRLS verbatim (BLAS dot
-products, ``lstsq`` on a singular Hessian), least squares inverts W'W per
+implementation: ``fit_logistic`` below is that IRLS (BLAS dot products,
+``lstsq`` on a singular Hessian), verbatim but for its start at the
+intercept-only fit when w has an intercept, least squares inverts W'W per
 column, the lowdim imputer runs ``lstsq`` per column, soft-impute thresholds
 through a full SVD, the knn imputers loop over columns, neighbours and
 rows, and p-values come from ``scipy.stats``.  Tests compare
@@ -26,6 +27,10 @@ def fit_logistic(c, w, tol=1e-8, max_iter=100, clip_floor=0.01):
     if c.min() == c.max():
         return np.zeros(q), np.full(n, 1.0 if c[0] == 1.0 else clip_floor)
     beta = np.zeros(q)
+    const = np.flatnonzero((w == w[0]).all(axis=0) & (w[0] != 0))
+    if const.size:  # start at the intercept-only MLE, as the batched fit does
+        rate = c.mean()
+        beta[const[0]] = np.log(rate / (1.0 - rate)) / w[0, const[0]]
     ll = _loglik(c, w @ beta)
     for _ in range(max_iter):
         prob = _sigmoid(w @ beta)

@@ -102,19 +102,41 @@ def test_rounding_level_gain_needs_no_line_search(j, wide, monkeypatch):
     monkeypatch.setattr(propensity, "_prob_loglik", lambda c, eta: calls.append(1) or kernel(c, eta))
     fit = fit_logistic(wide.mask[:, j].astype(float), wide.w)
     assert fit.converged
-    assert len(calls) <= fit.iterations + 1
+    assert len(calls) <= fit.iterations  # the intercept-only start is closed form
 
 
 def test_irls_matches_reference_loop_except_rounding_ties(wide):
     """Declared deviation: the log-likelihood is now summed per row rather
     than by a BLAS dot, so where the last Newton step gains only rounding
-    noise the accept/halve decision can differ from the original loop."""
+    noise the accept/halve decision can differ from the original loop.
+    Without the intercept both start at zero."""
     c = wide.mask.astype(float)
-    batch = fit_logistic_columns(c, wide.w).delta_hat
-    loop = np.column_stack([ref.fit_logistic(c[:, j], wide.w)[1] for j in range(wide.p)])
-    dev = np.abs(batch - loop).max(axis=0)
-    assert (dev > 1e-12).mean() <= 0.03
-    assert dev.max() <= 5e-8
+    for w in (wide.w, wide.w[:, 1:]):
+        batch = fit_logistic_columns(c, w).delta_hat
+        loop = np.column_stack([ref.fit_logistic(c[:, j], w)[1] for j in range(wide.p)])
+        dev = np.abs(batch - loop).max(axis=0)
+        assert (dev > 1e-12).mean() <= 0.03
+        assert dev.max() <= 5e-8
+
+
+def test_intercept_only_start_saves_a_newton_step(wide):
+    """Each column starts at its observed rate, one Newton step closer to
+    the optimum than a start at zero (3.87 iterations a column)."""
+    assert fit_logistic_columns(wide.mask, wide.w).iterations.mean() <= 3.3
+
+
+@pytest.mark.parametrize("layout", ["intercept last", "intercept of 2", "intercept twice"])
+def test_start_rule_follows_the_intercept(layout, wide):
+    """The start finds the intercept in any column and at any value.  A
+    second copy of it, as a 0/1 covariate constant on a fold's training
+    rows would be, makes every Hessian singular and takes the pinv path."""
+    w = {
+        "intercept last": wide.w[:, [1, 2, 0]],
+        "intercept of 2": wide.w * [2.0, 1.0, 1.0],
+        "intercept twice": np.column_stack([wide.w[:, 0], wide.w]),
+    }[layout]
+    want = fit_logistic_columns(wide.mask, wide.w).delta_hat
+    np.testing.assert_allclose(fit_logistic_columns(wide.mask, w).delta_hat, want, rtol=0, atol=5e-8)
 
 
 # ------------------------------------------------------ estimators vs loops

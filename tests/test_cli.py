@@ -492,6 +492,19 @@ def test_config_file_flag_precedence(csv_pair, tmp_path):
     assert rows[0]["method"] == "complete"
 
 
+@pytest.mark.parametrize("sub", ["analyze", "toy-power"])
+@pytest.mark.parametrize("which", ["missing", "directory"])
+def test_unreadable_config_file_exits_2(sub, which, tmp_path, capsys):
+    """A --config that cannot be opened is a data error, not a traceback."""
+    cfg = tmp_path / "missing.conf" if which == "missing" else tmp_path
+    out = tmp_path / "x.csv"
+    args = ["--outcomes", "y.csv", "--covariates", "w.csv", "--target", "a"] if sub == "analyze" else []
+    assert run_cli(sub, "--config", str(cfg), *args, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("drpi: data error: ") and str(cfg) in err
+    assert not out.exists()
+
+
 class _Captured(Exception):
     """Raised by a stand-in to hand back the call it received."""
 

@@ -225,6 +225,16 @@ def test_soft_negative_lambda_rejected():
     assert np.isnan(ImputerConfig(backend="soft").rank_penalty)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("max_iter", 0), ("max_iter", -3), ("tol", -1e-5), ("tol", float("nan")),
+])
+def test_soft_iteration_settings_rejected(field, value):
+    """No iteration would return the W-fit, and a NaN or negative tol
+    would silently run every iteration."""
+    with pytest.raises(DataError, match=field):
+        ImputerConfig(backend="soft", **{field: value})
+
+
 def test_soft_full_shrinkage_equals_lowdim():
     rng = np.random.default_rng(5)
     d = rand_dataset(rng, n=15, p=5)
