@@ -206,73 +206,29 @@ def _needs_augmented(method: MethodKind) -> bool:
     return method in (MethodKind.PLUGIN, MethodKind.PLUGIN_MISSING, MethodKind.DR_UW)
 
 
-def _nu_source(method, nu_hat, mu_hat):
-    return mu_hat if method is MethodKind.DR_W else nu_hat
-
-
-def _nuisances(d, methods, cfg, nu_hat=None, mu_hat=None, prop=None):
-    """(nu_hat, mu_hat, prop), fitting those that ``methods`` need and the
-    caller did not pass."""
+def _nuisances(d, methods, cfg, nu_hat=None, mu_hat=None, prop=None, train=None, at=None):
+    """(nu_hat, mu_hat, prop), fitting those that ``methods`` need and the caller
+    did not pass on the ``train`` rows, nu and mu at the ``at`` rows (see ``impute``)."""
     if nu_hat is None and any(_needs_augmented(m) for m in methods):
-        nu_hat = imputers.impute(d, cfg.imputer)
+        nu_hat = imputers.impute(d, cfg.imputer, train, at)
     if mu_hat is None and MethodKind.DR_W in methods:
-        mu_hat = imputers.impute_lowdim(d)
+        mu_hat = imputers.impute(d, ImputerConfig(backend="lowdim"), train, at)
     if prop is None and any(m in _DR for m in methods):
+        rows = slice(None) if train is None else train
         prop = propensity.fit_logistic_columns(
-            d.mask, d.w, cfg.prop_tol, cfg.prop_max_iter, cfg.prop_clip
+            d.mask[rows], d.w[rows], cfg.prop_tol, cfg.prop_max_iter, cfg.prop_clip
         )
     return nu_hat, mu_hat, prop
 
 
-def _cross_fit_nuisances(d, method, cfg, folds):
-    """Out-of-fold (nu, delta, diverged, skip_reason) for the DR estimators.
-
-    Supported with row-predictive imputer backends (mean, lowdim): on each
-    fold, one batched propensity fit and one batched mean or least-squares
-    fit on the other folds' rows give every column's delta and nu on the
-    held-out rows.  Folds are dealt round-robin from a fixed permutation.
-    """
-    if method not in _DR:
-        raise DataError("cross-fitting applies to the DR estimators only")
-    if folds < 2:
-        raise DataError("need at least 2 folds")
-    if d.n // folds <= d.q:
-        raise DataError(f"fold size {d.n // folds} too small for q={d.q}")
-    backend = "lowdim" if method is MethodKind.DR_W else cfg.imputer.backend
-    if backend not in ("mean", "lowdim"):
-        raise DataError(
-            f"cross-fitting needs a row-predictive imputer (mean/lowdim), "
-            f"got {backend!r}"
-        )
-
-    fold_of = np.empty(d.n, dtype=int)
-    fold_of[np.random.default_rng(0).permutation(d.n)] = np.arange(d.n) % folds
-
-    c = d.mask.astype(float)
-    delta = np.empty((d.n, d.p))
-    nu = np.empty((d.n, d.p))
-    diverged = np.zeros(d.p, dtype=bool)
-    few = np.zeros(d.p, dtype=bool)
-    min_rows = 1 if backend == "mean" else d.q + 1
-    for k in range(folds):
-        test = fold_of == k
-        train = ~test
-        prop = propensity.fit_logistic_columns(
-            c[train], d.w[train], cfg.prop_tol, cfg.prop_max_iter, cfg.prop_clip
-        )
-        delta[test] = prop.predict(d.w[test])
-        diverged |= prop.diverged
-        few |= c[train].sum(axis=0) < min_rows
-        if backend == "mean":  # the observed mean: least squares on an intercept
-            w_train, w_test = np.ones((train.sum(), 1)), np.ones((test.sum(), 1))
-        else:
-            w_train, w_test = d.w[train], d.w[test]
-        coef = _masked_least_squares(w_train, d.y_obs[train], c[train])[0]
-        nu[test] = w_test @ coef.T
-
-    reasons = np.full(d.p, "", dtype=object)
-    reasons[few] = "too few observed training rows"
-    return nu, delta, diverged, reasons
+def _at_rows(full, rows, part):
+    """``full`` (made if None) with ``part`` at ``rows``; if rows is None, ``part`` itself."""
+    if rows is None:
+        return part
+    if full is None:
+        full = np.empty((rows.size, part.shape[1]))
+    full[rows] = part
+    return full
 
 
 def infer_columns(
@@ -288,29 +244,50 @@ def infer_columns(
     """Apply one estimator to all columns at once: the method's
     pseudo-outcomes, then one batched least-squares fit.
 
-    Missing nuisances are fitted here: the configured imputer for nu_hat,
-    the lowdim imputer for mu_hat (dr_w), and one batched logistic fit of
-    the mask for the propensities.  With ``folds`` = K (DR methods, mean
-    or lowdim means) they are cross-fitted instead: each row's nu and
-    delta come from fits on the other K - 1 folds.  All-missing columns
-    are skipped, as are complete-case fits with too few rows or a singular
-    design and DR fits of a column whose propensity IRLS diverged.
+    Missing nuisances (the configured imputer for nu_hat, lowdim for mu_hat,
+    a batched logistic fit of the mask for delta) are fitted on every row,
+    or with ``folds`` = K (DR methods, row-predictive imputers) cross-fitted:
+    each row's nu and delta come from fits on the other K - 1 folds.  Skipped
+    are all-missing columns, columns too sparse on a fold's training rows,
+    complete-case fits with too few rows or a singular design and DR fits of
+    a column whose propensity IRLS diverged.
     """
     if method is MethodKind.FULL and oracle is None:
         raise DataError("method 'full' requires an oracle complete matrix")
-    if folds:
-        if nu_hat is not None or mu_hat is not None or prop is not None:
+    given = {"nu_hat": nu_hat and nu_hat.nu_hat, "mu_hat": mu_hat and mu_hat.nu_hat,
+             "prop": prop and prop.delta_hat}
+    for name, a in {**given, "oracle": oracle}.items():
+        if a is not None and np.shape(a) != (d.n, d.p):
+            raise DataError(f"{name} has shape {np.shape(a)}, expected ({d.n}, {d.p})")
+    row_sets = [(None, None)]  # (train, test) rows of each nuisance fit; None is every row
+    if folds:  # K folds dealt round-robin from a fixed permutation of the rows
+        if any(a is not None for a in given.values()):
             raise DataError("cross-fitting fits its own nuisances; pass none with folds")
-        nu, delta, diverged, reasons = _cross_fit_nuisances(d, method, cfg, folds)
-    else:
-        nu_hat, mu_hat, prop = _nuisances(d, (method,), cfg, nu_hat, mu_hat, prop)
-        source = _nu_source(method, nu_hat, mu_hat)
-        nu = None if source is None else source.nu_hat
-        delta = diverged = None
+        if method not in _DR:
+            raise DataError("cross-fitting applies to the DR estimators only")
+        if folds < 2:
+            raise DataError("need at least 2 folds")
+        if d.n // folds <= d.q:
+            raise DataError(f"fold size {d.n // folds} too small for q={d.q}")
+        fold_of = np.empty(d.n, dtype=int)
+        fold_of[np.random.default_rng(0).permutation(d.n)] = np.arange(d.n) % folds
+        row_sets = [(fold_of != k, fold_of == k) for k in range(folds)]
+
+    nu = delta = None
+    few = diverged = np.zeros(d.p, dtype=bool)
+    for train, test in row_sets:
+        nu_k, mu_k, prop_k = _nuisances(d, (method,), cfg, nu_hat, mu_hat, prop, train, test)
+        source = mu_k if method is MethodKind.DR_W else nu_k
+        if source is not None:
+            nu = _at_rows(nu, test, source.nu_hat)
+            few = few | source.diagnostics.get("too_few", False)
         if method in _DR:
-            delta, diverged = prop.delta_hat, prop.diverged
-        reasons = np.full(d.p, "", dtype=object)
-    if diverged is not None:
+            delta_k = prop_k.delta_hat if test is None else prop_k.predict(d.w[test])
+            delta = _at_rows(delta, test, delta_k)
+            diverged = diverged | prop_k.diverged
+    reasons = np.full(d.p, "", dtype=object)
+    reasons[few] = "too few observed training rows"
+    if method in _DR:
         reasons[diverged] = "propensity IRLS diverged"
         bad = reasons != ""  # their nu and delta columns must still be finite
         nu, delta = np.where(bad, 0.0, nu), np.where(bad, 1.0, delta)

@@ -3,7 +3,9 @@
 All backends return a fully dense fitted-mean matrix and never read a
 masked cell of the outcome matrix.  The soft-impute backend serves as the
 default augmented imputer; an externally computed matrix (e.g. from a deep
-generative model) can be ingested through ``load_external_nu``.
+generative model) can be ingested through ``load_external_nu``.  Only mean
+and lowdim are row-predictive: they can be fitted on some rows and predict
+at others, which cross-fitting needs (``impute(d, cfg, train, at)``).
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from .errors import DataError
 
 @dataclass(frozen=True)
 class ImputedMatrix:
-    """Dense n x p matrix of fitted conditional means."""
+    """Dense n x p matrix of fitted conditional means (of a row fit: its ``at`` rows)."""
 
     nu_hat: np.ndarray
     backend: str
@@ -67,37 +69,50 @@ def check_shape(backend: str, cfg: ImputerConfig, n: int, p: int) -> None:
         raise DataError("k_neighbors must be < p")
 
 
-def _column_means(d: Dataset) -> np.ndarray:
-    counts = d.mask.sum(axis=0)
-    sums = np.where(d.mask == 1, d.y_obs, 0.0).sum(axis=0)
+def _column_means(d: Dataset, train=None) -> np.ndarray:
+    """Observed mean of each column on the ``train`` rows (None: all, warned), or 0."""
+    rows = slice(None) if train is None else train
+    mask = d.mask[rows]
+    counts = mask.sum(axis=0)
+    sums = np.where(mask == 1, d.y_obs[rows], 0.0).sum(axis=0)
     means = np.zeros(d.p)
     nz = counts > 0
     means[nz] = sums[nz] / counts[nz]
-    if (~nz).any():
+    if train is None and (~nz).any():
         warnings.warn(f"{(~nz).sum()} all-missing column(s) imputed as zero")
     return means
 
 
+def _row_fit(d: Dataset, backend: str, train=None, at=None):
+    """(means at the ``at`` rows, too-few (p,) mask) of the mean or lowdim backend
+    fit on the ``train`` rows (boolean masks; None is every row).  Too few is none
+    observed, or for lowdim at most q, which then takes the mean; every-row fits warn."""
+    rows = slice(None) if train is None else train
+    mask, w_at = d.mask[rows], d.w if at is None else d.w[at]
+    counts = mask.sum(axis=0)
+    if backend == "mean":
+        return np.tile(_column_means(d, train), (len(w_at), 1)), counts == 0
+    few = counts <= d.q
+    # a column copy even if every column fits: pinned full-sample outputs round in its F order
+    coef = _masked_least_squares(d.w[rows], d.y_obs[rows][:, ~few], mask[:, ~few])[0]
+    nu = np.empty((len(w_at), d.p))
+    nu[:, ~few] = w_at @ coef.T
+    if few.any():  # warns about all-missing columns, before the rest below
+        nu[:, few] = _column_means(d, train)[few]
+    if train is None:
+        for j in np.flatnonzero(few & (counts > 0)):
+            pid = d.peptide_ids[j]
+            warnings.warn(f"column {pid!r}: observed count <= q, falling back to mean imputation")
+    return nu, few
+
+
 def impute_mean(d: Dataset) -> ImputedMatrix:
     """Observed column mean at every row."""
-    means = _column_means(d)
-    return ImputedMatrix(np.tile(means, (d.n, 1)), backend="mean")
+    return ImputedMatrix(_row_fit(d, "mean")[0], backend="mean")
 
 
 def _lowdim_matrix(d: Dataset) -> np.ndarray:
-    """Per-column OLS of observed outcomes on W, evaluated at all rows; a
-    column observed at most q times gets its observed mean."""
-    nu = np.tile(_column_means(d), (d.n, 1))
-    counts = d.mask.sum(axis=0)
-    for j in np.flatnonzero((counts > 0) & (counts <= d.q)):
-        warnings.warn(
-            f"column {d.peptide_ids[j]!r}: observed count <= q, "
-            f"falling back to mean imputation"
-        )
-    fit = counts > d.q
-    coef = _masked_least_squares(d.w, d.y_obs[:, fit], d.mask[:, fit])[0]
-    nu[:, fit] = d.w @ coef.T
-    return nu
+    return _row_fit(d, "lowdim")[0]
 
 
 def impute_lowdim(d: Dataset) -> ImputedMatrix:
@@ -291,12 +306,17 @@ def load_external_nu(path, d: Dataset) -> ImputedMatrix:
     return ImputedMatrix(nu, backend="external")
 
 
-def impute(d: Dataset, cfg: ImputerConfig) -> ImputedMatrix:
-    """Dispatch on cfg.backend."""
-    if cfg.backend == "mean":
-        return impute_mean(d)
-    if cfg.backend == "lowdim":
-        return impute_lowdim(d)
+def impute(d: Dataset, cfg: ImputerConfig, train=None, at=None) -> ImputedMatrix:
+    """Dispatch on cfg.backend.  Given a boolean row mask ``train``, a row-predictive
+    backend is fit on those rows only; it returns its means at the ``at`` rows (every
+    row if None), with ``_row_fit``'s too-few columns as ``diagnostics["too_few"]``."""
+    if cfg.backend in ("mean", "lowdim"):
+        nu, few = _row_fit(d, cfg.backend, train, at)
+        diagnostics = {} if train is None else {"too_few": few}
+        return ImputedMatrix(nu, cfg.backend, diagnostics=diagnostics)
+    if train is not None:
+        raise DataError("cross-fitting needs a row-predictive imputer (mean/lowdim), "
+                        f"got {cfg.backend!r}")
     if cfg.backend == "soft":
         return impute_soft(d, cfg)
     if cfg.backend in ("knn", "knn2"):

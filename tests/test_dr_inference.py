@@ -9,12 +9,14 @@ from drpi.dr_inference import (
     InferenceConfig,
     _p_values,
     infer_all,
+    infer_columns,
     ols_sandwich,
     pseudo_outcomes,
 )
 from drpi.errors import DataError
 from drpi.imputers import ImputedMatrix, ImputerConfig, impute_lowdim, impute_mean
 from drpi.propensity import fit_logistic_columns
+from drpi.sim_bench import SimConfig, gen_dataset
 from tests.test_data_model import make_dataset
 
 
@@ -318,9 +320,11 @@ def test_cross_fit_skips_a_column_with_too_few_training_rows(backend):
     sparse[rng.permutation(d.n)[:observed]] = 1
     wider = make_dataset(y, np.hstack([d.mask, sparse]), d.w, covariate_names=d.covariate_names)
     cfg = InferenceConfig(target="a", imputer=ImputerConfig(backend=backend))
-    res, skips = infer_all(wider, MethodKind.DR_UW, cfg, folds=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # fold fits skip such columns; they warn nothing
+        res, skips = infer_all(wider, MethodKind.DR_UW, cfg, folds=4)
+        want, _ = infer_all(d, MethodKind.DR_UW, cfg, folds=4)
     assert [(s.peptide_id, s.reason) for s in skips] == [("p5", "too few observed training rows")]
-    want, _ = infer_all(d, MethodKind.DR_UW, cfg, folds=4)
     assert res == want
 
 
@@ -343,6 +347,33 @@ def test_cross_fit_preconditions():
     for name, nuisance in given.items():
         with pytest.raises(DataError, match="fits its own nuisances"):
             infer_all(d, MethodKind.DR_W, cfg, folds=2, **{name: nuisance})
+
+
+def _given_nuisance(name, d):
+    """(method, keyword arguments) passing one nuisance fitted on p - 1
+    columns, or for nu_hat_one_column a single column."""
+    short = d.select_columns(list(range(d.p - 1)))
+    if name == "nu_hat_one_column":
+        return MethodKind.DR_UW, {"nu_hat": ImputedMatrix(np.zeros((d.n, 1)), "x")}
+    if name == "nu_hat":
+        return MethodKind.DR_UW, {"nu_hat": impute_lowdim(short)}
+    if name == "mu_hat":
+        return MethodKind.DR_W, {"mu_hat": impute_lowdim(short)}
+    if name == "prop":
+        return MethodKind.DR_UW, {"prop": fit_logistic_columns(short.mask, short.w)}
+    return MethodKind.FULL, {"oracle": np.zeros((d.n, d.p - 1))}
+
+
+@pytest.mark.parametrize("name", ["nu_hat_one_column", "nu_hat", "mu_hat", "prop", "oracle"])
+def test_mis_shaped_nuisance_raises_data_error(name):
+    """A caller's nuisance of the wrong shape is refused by name, not
+    broadcast over the columns or left to fail inside numpy."""
+    d, _ = gen_dataset(SimConfig(model=3, n=60, p=10, seed=1))
+    method, given = _given_nuisance(name, d)
+    arg = name.split("_one")[0]
+    cfg = InferenceConfig(target="a", imputer=ImputerConfig(backend="lowdim"))
+    with pytest.raises(DataError, match=rf"{arg} has shape \(60, \d+\), expected \(60, 10\)"):
+        infer_columns(d, method, cfg, **given)
 
 
 # ------------------------------------------------------ double robustness

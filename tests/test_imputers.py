@@ -339,6 +339,69 @@ def test_mask_respecting(backend):
     np.testing.assert_array_equal(nu1, nu2)
 
 
+# ---------------------------------------------------------------- row fits
+
+
+def sparse_dataset(rng, n=40):
+    """rand_dataset with q = 2 plus three columns observed 0, 1 and 2 times:
+    lowdim falls back to the mean (0 when none) for all three; the mean
+    backend has none to take for the first."""
+    d = rand_dataset(rng, n=n, p=6)
+    mask = np.zeros((n, 3), dtype=np.int8)
+    for j, k in enumerate((0, 1, 2)):
+        mask[rng.permutation(n)[:k], j] = 1
+    y = np.hstack([np.where(d.mask == 1, d.y_obs, 0.0), rng.normal(size=(n, 3))])
+    return make_dataset(y, np.hstack([d.mask, mask]), d.w)
+
+
+@pytest.mark.parametrize("backend,full_fit", [("mean", impute_mean), ("lowdim", impute_lowdim)])
+def test_row_fit_on_every_row_is_the_full_sample_fit(backend, full_fit):
+    """One fold whose training and prediction rows are all rows gives the
+    full-sample means bit for bit, without the full-sample warnings."""
+    d = sparse_dataset(np.random.default_rng(13))
+    every = np.ones(d.n, dtype=bool)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        want = full_fit(d)
+    fallbacks = [] if backend == "mean" else ["p7", "p8"]
+    assert [str(w.message) for w in caught] == ["1 all-missing column(s) imputed as zero"] + [
+        f"column {pid!r}: observed count <= q, falling back to mean imputation" for pid in fallbacks
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = impute(d, ImputerConfig(backend=backend), train=every, at=every)
+    np.testing.assert_array_equal(got.nu_hat, want.nu_hat)
+    too_few = [False] * 6 + ([True, False, False] if backend == "mean" else [True] * 3)
+    assert got.diagnostics["too_few"].tolist() == too_few
+
+
+@pytest.mark.parametrize("backend", ["mean", "lowdim"])
+def test_row_fit_never_reads_held_out_cells(backend):
+    """Shifting the observed outcomes of the held-out rows leaves their
+    means unchanged; shifting the training rows' does not."""
+    rng = np.random.default_rng(14)
+    d = sparse_dataset(rng)
+    train = rng.random(d.n) < 0.75
+    y = np.where(d.mask == 1, d.y_obs, 0.0)
+    cfg = ImputerConfig(backend=backend)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base, held_out, trained = (
+            impute(make_dataset(y + shift, d.mask, d.w), cfg, train=train, at=~train).nu_hat
+            for shift in (0.0, np.where(train, 0.0, 100.0)[:, None], 100.0 * train[:, None])
+        )
+    assert base.shape == ((~train).sum(), d.p)
+    np.testing.assert_array_equal(held_out, base)
+    assert not np.array_equal(trained[:, :6], base[:, :6])
+
+
+@pytest.mark.parametrize("backend", ["soft", "knn", "knn2", "external"])
+def test_row_fit_needs_a_row_predictive_backend(backend):
+    d = rand_dataset(np.random.default_rng(15), n=20)
+    with pytest.raises(DataError, match="row-predictive imputer"):
+        impute(d, ImputerConfig(backend=backend), train=np.arange(d.n) < 15)
+
+
 def test_external_nu_round_trip(tmp_path):
     rng = np.random.default_rng(11)
     d = rand_dataset(rng, n=6, p=3)
