@@ -156,7 +156,12 @@ def impute_soft(d: Dataset, cfg: ImputerConfig = None) -> ImputedMatrix:
     """Low-rank completion of covariate-residualized outcomes.
 
     Observed entries are residualized on W column-wise; soft-impute then
-    iterates SVD soft-thresholding on the residual matrix until the relative
+    minimizes 1/2 ||P_obs(R - Z)||^2 + lambda ||Z||_* under the rank cap by
+    accelerated proximal gradient with gradient restart (O'Donoghue &
+    Candes 2015): each step soft-thresholds the residuals with their missing
+    cells filled from a Nesterov extrapolation of the last two iterates, and
+    the momentum resets when the step points uphill (has a positive inner
+    product with the gradient mapping).  It stops when the relative
     Frobenius change falls below tol.  The fitted means are the W-regression
     fit plus the completed residuals.  ``diagnostics`` records ``lambda``,
     ``iterations``, ``rank`` (of the completed residuals) and ``rel_change``
@@ -172,14 +177,20 @@ def impute_soft(d: Dataset, cfg: ImputerConfig = None) -> ImputedMatrix:
     if not np.isfinite(lam):
         lam = SOFT_LAMBDA_FRACTION * np.linalg.svd(resid, compute_uv=False)[0]
 
-    z = np.zeros_like(resid)
+    z = y = np.zeros_like(resid)
+    t = 1.0
     converged = False
     iterations, rank, rel_change = 0, 0, float("nan")
     for iterations in range(1, cfg.max_iter + 1):
-        filled = np.where(obs, resid, z)
+        filled = np.where(obs, resid, y)
         z_new, rank = _svd_soft_threshold(filled, lam, cfg.max_rank)
-        delta = np.linalg.norm(z_new - z)
-        z = z_new
+        step = z_new - z
+        delta = np.linalg.norm(step)
+        if np.vdot(y - z_new, step) > 0:  # momentum points uphill: restart
+            t = 1.0
+        t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        y = z_new + ((t - 1.0) / t_new) * step
+        z, t = z_new, t_new
         scale = max(np.linalg.norm(z), 1.0)
         rel_change = float(delta / scale)
         if delta <= cfg.tol * scale:

@@ -5,9 +5,9 @@ implementation: ``fit_logistic`` below is that IRLS (BLAS dot products,
 ``lstsq`` on a singular Hessian), verbatim but for its start at the
 intercept-only fit when w has an intercept, least squares inverts W'W per
 column, the lowdim imputer runs ``lstsq`` per column, soft-impute thresholds
-through a full SVD, the knn imputers loop over columns, neighbours and
-rows, and p-values come from ``scipy.stats``.  Tests compare
-the batched estimators against these loops.
+through a full SVD and iterates plain proximal-gradient steps, the knn
+imputers loop over columns, neighbours and rows, and p-values come from
+``scipy.stats``.  Tests compare the batched estimators against these loops.
 """
 import numpy as np
 from scipy import stats
@@ -204,3 +204,26 @@ def cross_fit(d, folds, tcol, backend, seed=0, fit=fit_logistic):
             y_tilde[test] = pseudo(y[test], c[test], delta, nu)
         out[j] = ols(y_tilde, d.w, tcol, "sandwich")
     return out
+
+
+def soft_impute(d, cfg):
+    """(nu_hat, iterations, converged) of the original soft-impute loop:
+    plain proximal-gradient steps with step 1, each a full-SVD
+    soft-threshold of the residual matrix with its missing cells filled
+    from the last iterate, stopped when the relative Frobenius change
+    falls to ``cfg.tol``.  A NaN ``cfg.rank_penalty`` takes 0.1 of the
+    residual matrix's top singular value, as ``impute_soft`` does."""
+    wfit = lowdim(d)
+    obs = d.mask == 1
+    resid = np.where(obs, d.y_obs - wfit, 0.0)
+    lam = cfg.rank_penalty
+    if not np.isfinite(lam):
+        lam = 0.1 * np.linalg.svd(resid, compute_uv=False)[0]
+    z = np.zeros_like(resid)
+    for it in range(1, cfg.max_iter + 1):
+        z_new, _ = svd_soft_threshold(np.where(obs, resid, z), lam, cfg.max_rank)
+        delta = np.linalg.norm(z_new - z)
+        z = z_new
+        if delta <= cfg.tol * max(np.linalg.norm(z), 1.0):
+            return wfit + z, it, True
+    return wfit + z, cfg.max_iter, False

@@ -219,6 +219,20 @@ def test_soft_diagnostics_converged_and_capped():
     assert 0 < diag["rank"] <= capped.max_rank
 
 
+def test_soft_one_iteration_is_one_svt_of_zero_filled_residual():
+    """The first step has no momentum: max_iter=1 returns the W-fit plus one
+    soft-threshold of the residuals with every missing cell set to zero."""
+    rng = np.random.default_rng(4)
+    d = rand_dataset(rng, n=20, p=8)
+    wfit = impute_lowdim(d).nu_hat
+    resid = np.where(d.mask == 1, d.y_obs - wfit, 0.0)
+    cfg = ImputerConfig(backend="soft", rank_penalty=0.5, max_rank=3, max_iter=1)
+    with pytest.warns(UserWarning, match="did not converge in 1 iterations"):
+        out = impute_soft(d, cfg)
+    np.testing.assert_allclose(out.nu_hat, wfit + svt_oracle(resid, 0.5, 3), atol=1e-10)
+    assert out.diagnostics["iterations"] == 1 and not out.converged
+
+
 def test_soft_negative_lambda_rejected():
     with pytest.raises(DataError, match="rank_penalty"):
         ImputerConfig(backend="soft", rank_penalty=-1.0)
