@@ -51,11 +51,15 @@ def _add_imputer(sp, backends):
     sp.add_argument("--imputer-k", dest="k_neighbors", type=int)
 
 
+@functools.cache
 def build_parser() -> _Parser:
     """A flag whose dest is a library field or parameter states no default:
     each subcommand's ``argument_default`` leaves it out of the namespace
     unless given, so the library's own default applies.  Flags that only the
-    command reads state theirs here."""
+    command reads state theirs here.
+
+    Built once per process and shared by every call (``parse_args`` returns
+    a fresh namespace each time), so callers must not mutate it."""
     parser = _Parser(prog="drpi", description=__doc__)
     parser.add_argument("--version", action="version", version=f"drpi {__version__}")
     sub = parser.add_subparsers(dest="subcommand")
@@ -138,11 +142,17 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _apply_config_file(argv):
-    """Apply key=value defaults from --config; precedence flag > file > default."""
+@functools.cache
+def _config_probe() -> _Parser:
+    """Finds --config before the full parse; shared like ``build_parser``."""
     probe = _Parser(add_help=False)
     probe.add_argument("--config")
-    known, _ = probe.parse_known_args(argv)
+    return probe
+
+
+def _apply_config_file(argv):
+    """Apply key=value defaults from --config; precedence flag > file > default."""
+    known, _ = _config_probe().parse_known_args(argv)
     if not known.config:
         return argv
     overrides = {}

@@ -9,6 +9,7 @@ at others, which cross-fitting needs (``impute(d, cfg, train, at)``).
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -139,10 +140,9 @@ def _svd_soft_threshold(x: np.ndarray, lam: float, max_rank: int):
     """
     tall = x.shape[0] >= x.shape[1]
     evals, vecs = np.linalg.eigh(x.T @ x if tall else x @ x.T)
-    s = np.sqrt(np.clip(evals[::-1], 0.0, None))
-    shrunk = np.maximum(s - lam, 0.0)
-    shrunk[max_rank:] = 0.0
-    r = int((shrunk > 0).sum())
+    s = np.sqrt(np.maximum(evals[::-1], 0.0))
+    shrunk = np.maximum(s[:max_rank] - lam, 0.0)
+    r = int(np.count_nonzero(shrunk))
     if r == 0:
         return np.zeros_like(x), 0
     vecs = vecs[:, ::-1][:, :r]
@@ -161,8 +161,11 @@ def impute_soft(d: Dataset, cfg: ImputerConfig = None) -> ImputedMatrix:
     Candes 2015): each step soft-thresholds the residuals with their missing
     cells filled from a Nesterov extrapolation of the last two iterates, and
     the momentum resets when the step points uphill (has a positive inner
-    product with the gradient mapping).  It stops when the relative
-    Frobenius change falls below tol.  The fitted means are the W-regression
+    product with the gradient mapping).  The filled matrix is rebuilt in one
+    buffer as ``miss * y + resid`` (``miss`` the 0/1 missing indicator),
+    which equals ``where(obs, resid, y)`` bit for bit because the residuals
+    are 0 where missing.  It stops when the relative Frobenius change falls
+    below tol.  The fitted means are the W-regression
     fit plus the completed residuals.  ``diagnostics`` records ``lambda``,
     ``iterations``, ``rank`` (of the completed residuals) and ``rel_change``
     (the last relative Frobenius change).
@@ -178,21 +181,24 @@ def impute_soft(d: Dataset, cfg: ImputerConfig = None) -> ImputedMatrix:
         lam = SOFT_LAMBDA_FRACTION * np.linalg.svd(resid, compute_uv=False)[0]
 
     z = y = np.zeros_like(resid)
+    miss = (~obs).astype(float)
+    filled = np.empty_like(resid)
     t = 1.0
     converged = False
     iterations, rank, rel_change = 0, 0, float("nan")
     for iterations in range(1, cfg.max_iter + 1):
-        filled = np.where(obs, resid, y)
+        np.multiply(miss, y, out=filled)  # resid is 0 where missing
+        filled += resid
         z_new, rank = _svd_soft_threshold(filled, lam, cfg.max_rank)
         step = z_new - z
-        delta = np.linalg.norm(step)
+        delta = math.sqrt(np.vdot(step, step))
         if np.vdot(y - z_new, step) > 0:  # momentum points uphill: restart
             t = 1.0
-        t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        t_new = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
         y = z_new + ((t - 1.0) / t_new) * step
         z, t = z_new, t_new
-        scale = max(np.linalg.norm(z), 1.0)
-        rel_change = float(delta / scale)
+        scale = max(math.sqrt(np.vdot(z, z)), 1.0)
+        rel_change = delta / scale
         if delta <= cfg.tol * scale:
             converged = True
             break

@@ -181,7 +181,7 @@ def gen_dataset(cfg: SimConfig, rep: int = 0, chol: np.ndarray = None):
     return d, truth
 
 
-def fdr_tpr(selected: np.ndarray, signal_set: np.ndarray, p: int):
+def fdr_tpr(selected: np.ndarray, signal_set: np.ndarray):
     """FDR (0 when nothing is discovered) and TPR against the signal set."""
     sel = set(np.asarray(selected, dtype=int).tolist())
     sig = set(np.asarray(signal_set, dtype=int).tolist())
@@ -252,7 +252,7 @@ def _run_rep(cfg: SimConfig, rep: int, methods, inf_cfg: InferenceConfig, chol=N
         per_cut = {}
         for cut in cfg.cutoffs:
             sel = cols[multiple_testing.select(q, cut)]
-            per_cut[cut] = fdr_tpr(sel, truth.signal_set, cfg.p)
+            per_cut[cut] = fdr_tpr(sel, truth.signal_set)
         out[m] = (per_cut, est.beta)
     return out
 

@@ -5,7 +5,8 @@ implementation: ``fit_logistic`` below is that IRLS (BLAS dot products,
 ``lstsq`` on a singular Hessian), verbatim but for its start at the
 intercept-only fit when w has an intercept, least squares inverts W'W per
 column, the lowdim imputer runs ``lstsq`` per column, soft-impute thresholds
-through a full SVD and iterates plain proximal-gradient steps, the knn
+through a full SVD and iterates plain proximal-gradient steps (and, in
+``soft_impute_apg``, the accelerated loop as first written), the knn
 imputers loop over columns, neighbours and rows, and p-values come from
 ``scipy.stats``.  Tests compare the batched estimators against these loops.
 """
@@ -13,7 +14,7 @@ import numpy as np
 from scipy import stats
 
 from drpi.data_model import MethodKind
-from drpi.imputers import _column_means, _pairwise_stats
+from drpi.imputers import SOFT_LAMBDA_FRACTION, _column_means, _lowdim_matrix, _pairwise_stats
 from drpi.propensity import _sigmoid
 
 
@@ -227,3 +228,58 @@ def soft_impute(d, cfg):
         if delta <= cfg.tol * max(np.linalg.norm(z), 1.0):
             return wfit + z, it, True
     return wfit + z, cfg.max_iter, False
+
+
+def gram_soft_threshold(x, lam, max_rank):
+    """(matrix, rank) of singular-value soft-thresholding through one
+    eigendecomposition of the smaller Gram matrix, as first written: clip
+    the eigenvalues, shrink every singular value, then zero those past
+    ``max_rank``."""
+    tall = x.shape[0] >= x.shape[1]
+    evals, vecs = np.linalg.eigh(x.T @ x if tall else x @ x.T)
+    s = np.sqrt(np.clip(evals[::-1], 0.0, None))
+    shrunk = np.maximum(s - lam, 0.0)
+    shrunk[max_rank:] = 0.0
+    r = int((shrunk > 0).sum())
+    if r == 0:
+        return np.zeros_like(x), 0
+    vecs = vecs[:, ::-1][:, :r]
+    scale = shrunk[:r] / s[:r]
+    if tall:
+        return ((x @ vecs) * scale) @ vecs.T, r
+    return vecs @ ((vecs.T @ x) * scale[:, None]), r
+
+
+def soft_impute_apg(d, cfg):
+    """(nu_hat, converged, diagnostics) of the accelerated soft-impute loop
+    as first written: each iteration allocates ``where(obs, resid, y)`` and
+    takes Frobenius norms through ``np.linalg.norm``.  Residualizes on
+    ``impute_soft``'s own W fit, so a pure refactor of the loop matches it
+    bit for bit."""
+    wfit = _lowdim_matrix(d)
+    obs = d.mask == 1
+    resid = np.where(obs, d.y_obs - wfit, 0.0)
+    lam = cfg.rank_penalty
+    if not np.isfinite(lam):
+        lam = SOFT_LAMBDA_FRACTION * np.linalg.svd(resid, compute_uv=False)[0]
+    z = y = np.zeros_like(resid)
+    t = 1.0
+    converged = False
+    iterations, rank, rel_change = 0, 0, float("nan")
+    for iterations in range(1, cfg.max_iter + 1):
+        filled = np.where(obs, resid, y)
+        z_new, rank = gram_soft_threshold(filled, lam, cfg.max_rank)
+        step = z_new - z
+        delta = np.linalg.norm(step)
+        if np.vdot(y - z_new, step) > 0:  # momentum points uphill: restart
+            t = 1.0
+        t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        y = z_new + ((t - 1.0) / t_new) * step
+        z, t = z_new, t_new
+        scale = max(np.linalg.norm(z), 1.0)
+        rel_change = float(delta / scale)
+        if delta <= cfg.tol * scale:
+            converged = True
+            break
+    diagnostics = {"lambda": lam, "iterations": iterations, "rank": rank, "rel_change": rel_change}
+    return wfit + z, converged, diagnostics

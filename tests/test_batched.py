@@ -327,6 +327,55 @@ def test_soft_impute_reaches_long_run_objective(soft_data):
         assert not ref.soft_impute(d, replace(cfg, max_iter=iterations))[2]
 
 
+def _soft_case(d, case):
+    """Soft-impute config of one refactor case: the defaults, lambda above
+    sigma_1 (rank 0), a rank cap above the thresholded rank, a cap of 0, or
+    a run cut at 3 iterations."""
+    cfg = ImputerConfig(backend="soft")
+    resid = np.where(d.mask == 1, d.y_obs - imputers._lowdim_matrix(d), 0.0)
+    sigma1 = np.linalg.svd(resid, compute_uv=False)[0]
+    return {
+        "default": cfg,
+        "rank0": replace(cfg, rank_penalty=1.01 * sigma1),
+        "uncapped": replace(cfg, rank_penalty=0.25 * sigma1, max_rank=min(d.n, d.p)),
+        "cap0": replace(cfg, max_rank=0),
+        "max_iter_3": replace(cfg, max_iter=3),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["default", "rank0", "uncapped", "cap0", "max_iter_3"])
+def test_soft_impute_loop_is_a_pure_refactor(case, soft_data):
+    """The one-buffer fill, the BLAS Frobenius norms and the sliced
+    threshold leave nu and every diagnostic of the accelerated loop as
+    first written bit for bit, tall (200 x 30) and wide (100 x 300)."""
+    for d in soft_data:
+        cfg = _soft_case(d, case)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = impute_soft(d, cfg)
+        nu, converged, diagnostics = ref.soft_impute_apg(d, cfg)
+        assert np.array_equal(got.nu_hat, nu)
+        assert got.converged == converged
+        assert got.diagnostics == diagnostics
+        assert list(map(type, got.diagnostics.values())) == list(map(type, diagnostics.values()))
+        assert [str(w.message) for w in caught if "soft-impute" in str(w.message)] == (
+            [] if converged else [
+                f"soft-impute did not converge in {cfg.max_iter} iterations "
+                f"(relative change {diagnostics['rel_change']:.3g}, tol {cfg.tol:g}); "
+                "returning last iterate"
+            ]
+        )
+        rank = diagnostics["rank"]
+        if case == "rank0":
+            assert rank == 0 and diagnostics["iterations"] == 1 and converged
+        elif case == "uncapped":
+            assert 0 < rank < cfg.max_rank
+        elif case == "cap0":
+            assert rank == 0
+        elif case == "max_iter_3":
+            assert not converged and diagnostics["iterations"] == 3
+
+
 # ------------------------------------------------------ knn imputers
 
 

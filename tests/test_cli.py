@@ -22,6 +22,7 @@ from drpi.errors import DataError
 from drpi.imputers import ImputedMatrix, ImputerConfig, impute
 from drpi.multiple_testing import adjust
 from drpi.sim_bench import SimConfig, gen_dataset
+from tests.test_batched import ROOT, _in_fresh_process
 
 
 def run_cli(*argv):
@@ -490,6 +491,34 @@ def test_config_file_flag_precedence(csv_pair, tmp_path):
     with open(out2, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["method"] == "complete"
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path):
+    """The parser is built once per process; each call in a sequence writes
+    the results a fresh process writes for the same arguments, whatever the
+    calls before it set."""
+    assert cli.build_parser() is cli.build_parser()
+    conf = tmp_path / "drpi.conf"
+    conf.write_text("imputer = lowdim\n")
+    base = [
+        "analyze", "--outcomes", str(ROOT / "fixtures" / "outcomes.csv"),
+        "--covariates", str(ROOT / "fixtures" / "covariates.csv"), "--target", "a", "--quiet",
+    ]
+    calls = [
+        ["--imputer", "lowdim", "--method", "complete", "--alpha", "0.2"],
+        [],
+        ["--config", str(conf)],
+        [],
+    ]
+    for i, extra in enumerate(calls):
+        assert run_cli(*base, *extra, "--out", str(tmp_path / f"seq{i}.csv")) == 0
+    for i, extra in enumerate(calls):
+        argv = [*base, *extra, "--out", str(tmp_path / f"fresh{i}.csv")]
+        code = f"from drpi.cli import parse_and_dispatch; print(parse_and_dispatch({argv!r}))"
+        assert _in_fresh_process(code) == "0"
+        assert (tmp_path / f"seq{i}.csv").read_bytes() == (tmp_path / f"fresh{i}.csv").read_bytes()
+    # the calls differ, so a leaked setting would have shown
+    assert (tmp_path / "seq2.csv").read_bytes() != (tmp_path / "seq3.csv").read_bytes()
 
 
 @pytest.mark.parametrize("sub", ["analyze", "toy-power"])

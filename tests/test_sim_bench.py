@@ -156,10 +156,10 @@ def test_config_validation():
 
 def test_fdr_tpr_hand_cases():
     # selected {0,1,2}, signal {1,2,3}: one false of three -> FDR 1/3, TPR 2/3
-    f, t = fdr_tpr(np.array([0, 1, 2]), np.array([1, 2, 3]), p=10)
+    f, t = fdr_tpr(np.array([0, 1, 2]), np.array([1, 2, 3]))
     assert f == pytest.approx(1 / 3)
     assert t == pytest.approx(2 / 3)
-    f, t = fdr_tpr(np.array([], dtype=int), np.array([1]), p=10)
+    f, t = fdr_tpr(np.array([], dtype=int), np.array([1]))
     assert f == 0.0 and t == 0.0
 
 
