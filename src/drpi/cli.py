@@ -19,8 +19,6 @@ from .imputers import ImputerConfig
 
 log = logging.getLogger("drpi")
 
-_IMPUTER_FLAGS = ("mean", "lowdim", "soft", "knn", "knn2", "external")
-
 
 class _UsageError(Exception):
     pass
@@ -75,7 +73,7 @@ def build_parser() -> _Parser:
         default="dr_uw",
         choices=[m.value for m in MethodKind if m is not MethodKind.FULL],
     )
-    _add_imputer(an, _IMPUTER_FLAGS)
+    _add_imputer(an, imputers.BACKENDS)
     an.add_argument(
         "--external-nu",
         dest="external_path",
@@ -87,7 +85,7 @@ def build_parser() -> _Parser:
     an.add_argument("--no-intercept", action="store_true", default=False)
     an.add_argument("--obs-threshold", type=float, default=0.0)
     an.add_argument("--feed-threshold", type=float, help="observation rate to feed the imputer")
-    an.add_argument("--variance", dest="variance_mode", choices=["", "sandwich", "homoskedastic"])
+    an.add_argument("--variance", dest="variance_mode", choices=dr_inference.VARIANCE_MODES)
     an.add_argument("--cross-fit", type=int, default=0, metavar="K")
     an.add_argument("--prop-tol", type=float)
     an.add_argument("--prop-max-iter", type=int)
@@ -112,7 +110,7 @@ def build_parser() -> _Parser:
         default="full,complete,plugin,plugin_missing,dr_w,dr_uw",
     )
     si.add_argument("--cutoffs", type=_list_of("--cutoffs", float))
-    _add_imputer(si, _IMPUTER_FLAGS[:-1])
+    _add_imputer(si, imputers.BACKENDS[:-1])
     si.add_argument(
         "--preset",
         default="",
@@ -240,7 +238,7 @@ def _cmd_analyze(args) -> int:
     if args.obs_threshold > 0:
         d, d_feed = filter_by_rate(d, args.obs_threshold, **_given(args, ("feed_threshold",)))
         log.info("kept %d/%d columns for inference", d.p, d_feed.p)
-        if not args.cross_fit and dr_inference._needs_augmented(method):
+        if not args.cross_fit and dr_inference._METHODS[method].nu == "imputer":
             # impute on the wider feed set, infer on the kept columns
             feed = imputers.impute(d_feed, cfg.imputer)
             kept = np.isin(d_feed.peptide_ids, d.peptide_ids)

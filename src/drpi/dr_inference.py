@@ -5,21 +5,16 @@ plugin, plugin-missing, and the two inverse-propensity debiased estimators
 (conditioning on the low-dimensional covariates only, or augmented with the
 remaining columns through a high-dimensional imputer).
 
-All six are one computation.  Each method picks an observation indicator C,
-a propensity delta and a conditional mean nu, builds the (n, p) matrix of
-pseudo-outcomes nu + C/delta * (Y - nu), and regresses every column on W in
-one batched least-squares fit:
-
-    full            oracle Y, C = 1, delta = 1
-    plugin          C = 0 (the pseudo-outcome is nu)
-    plugin_missing  delta = 1
-    dr_w / dr_uw    fitted delta, lowdim / augmented nu
-    complete        Y itself, each column fit on its observed rows only
+All six are one computation: the (n, p) matrix of pseudo-outcomes
+nu + C/delta * (Y - nu), every column regressed on W in one batched
+least-squares fit.  The methods differ only in the (nu, C, delta) they plug
+in and their default variance, one row each of ``_METHODS``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +25,26 @@ from .errors import DataError, NumericalError
 from .imputers import ImputedMatrix, ImputerConfig
 from .propensity import PropensityColumns
 
-_DR = (MethodKind.DR_W, MethodKind.DR_UW)
+VARIANCE_MODES = ("", "sandwich", "homoskedastic")  # "" -> the method's default
+
+
+class _Method(NamedTuple):
+    nu: str  # "imputer" (the configured one), "lowdim", "oracle" or "zero"
+    masked: bool  # C is the observation mask; otherwise 0
+    fitted_delta: bool  # delta is the fitted propensity; otherwise 1
+    variance: str  # default variance mode
+
+
+# nu = 0 models no missing cell, so complete-case fits each column on its
+# observed rows only
+_METHODS = {
+    MethodKind.FULL: _Method("oracle", False, False, "homoskedastic"),
+    MethodKind.COMPLETE: _Method("zero", True, False, "homoskedastic"),
+    MethodKind.PLUGIN: _Method("imputer", False, False, "homoskedastic"),
+    MethodKind.PLUGIN_MISSING: _Method("imputer", True, False, "homoskedastic"),
+    MethodKind.DR_W: _Method("lowdim", True, True, "sandwich"),
+    MethodKind.DR_UW: _Method("imputer", True, True, "sandwich"),
+}
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)  # the normal reference without scipy
 
@@ -54,13 +68,15 @@ class InferenceConfig:
     """Knobs shared by the inference functions."""
 
     target: str = "a"
-    variance_mode: str = ""  # "" -> per-method default
+    variance_mode: str = ""  # one of VARIANCE_MODES
     prop_tol: float = 1e-8
     prop_max_iter: int = 100
     prop_clip: float = 0.01
     imputer: ImputerConfig = field(default_factory=ImputerConfig)
 
     def __post_init__(self):
+        if self.variance_mode not in VARIANCE_MODES:
+            raise DataError(f"unknown variance mode {self.variance_mode!r}")
         if not 0 < self.prop_clip < 1:
             raise DataError("prop_clip (propensity floor) must lie in (0, 1)")
         if self.prop_max_iter < 1:
@@ -89,7 +105,7 @@ class ColumnInference:
 
 
 def pseudo_outcomes(y, c, delta_hat, nu_hat) -> PseudoOutcome:
-    """y_tilde = nu + (c / delta) * (y - nu); masked y never read.
+    """y_tilde = nu + (c / delta) * (y - nu); masked y never enters y_tilde.
 
     Arguments broadcast, so one call builds the (n, p) matrix of a method.
     """
@@ -99,10 +115,11 @@ def pseudo_outcomes(y, c, delta_hat, nu_hat) -> PseudoOutcome:
     if (delta_hat <= 0).any() or (delta_hat > 1).any():
         raise DataError("delta_hat entries must lie in (0, 1]")
     weights = c / delta_hat
-    y_safe = np.where(c == 1, y, 0.0)
-    if not np.isfinite(y_safe).all():
-        raise DataError("non-finite observed outcome")
-    y_tilde = nu_hat + weights * (y_safe - np.where(c == 1, nu_hat, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # masked cells are dropped
+        resid = np.where(c == 1, y - nu_hat, 0.0)
+    if not np.isfinite(resid).all():
+        raise DataError("non-finite observed outcome or nu_hat")
+    y_tilde = nu_hat + weights * resid
     return PseudoOutcome(y_tilde=y_tilde, weights_used=weights)
 
 
@@ -121,7 +138,7 @@ def _ols_columns(w, y, variance_mode, obs=None):
     n, q = w.shape
     if n <= q:
         raise DataError(f"need n > q, got n={n}, q={q}")
-    if variance_mode not in ("sandwich", "homoskedastic"):
+    if variance_mode not in VARIANCE_MODES[1:]:
         raise DataError(f"unknown variance mode {variance_mode!r}")
     coef, gram_inv, singular = _masked_least_squares(w, y, obs)
     resid = y - w @ coef.T
@@ -178,12 +195,6 @@ def _p_values(beta, se, variance_mode, df):
     return z, p, degenerate
 
 
-def _default_variance(method: MethodKind) -> str:
-    if method in _DR:
-        return "sandwich"
-    return "homoskedastic"
-
-
 def _records(peptide_ids, method, est: ColumnInference):
     """(results, skips) records in column order."""
     results, skips = [], []
@@ -202,23 +213,26 @@ def _records(peptide_ids, method, est: ColumnInference):
     return results, skips
 
 
-def _needs_augmented(method: MethodKind) -> bool:
-    return method in (MethodKind.PLUGIN, MethodKind.PLUGIN_MISSING, MethodKind.DR_UW)
+def _nuisances(d, methods, cfg, nu_hat=None, prop=None, train=None, at=None):
+    """({method: its fitted nu or None}, propensity or None) for ``methods``.
 
-
-def _nuisances(d, methods, cfg, nu_hat=None, mu_hat=None, prop=None, train=None, at=None):
-    """(nu_hat, mu_hat, prop), fitting those that ``methods`` need and the caller
-    did not pass on the ``train`` rows, nu and mu at the ``at`` rows (see ``impute``)."""
-    if nu_hat is None and any(_needs_augmented(m) for m in methods):
-        nu_hat = imputers.impute(d, cfg.imputer, train, at)
-    if mu_hat is None and MethodKind.DR_W in methods:
-        mu_hat = imputers.impute(d, ImputerConfig(backend="lowdim"), train, at)
-    if prop is None and any(m in _DR for m in methods):
-        rows = slice(None) if train is None else train
+    Each imputer that one of them needs is fitted once on the ``train`` rows,
+    predicting at the ``at`` rows (see ``impute``), and the propensity once if
+    one of them fits delta.  A passed ``nu_hat`` (the nu of every method that
+    imputes) or ``prop`` is used as given, never refit.
+    """
+    specs = [_METHODS[m] for m in methods]
+    sources = {"imputer": cfg.imputer, "lowdim": ImputerConfig(backend="lowdim")}
+    fits = {
+        source: nu_hat or imputers.impute(d, imputer, train, at)
+        for source, imputer in sources.items() if any(spec.nu == source for spec in specs)
+    }
+    if prop is None and any(spec.fitted_delta for spec in specs):
+        sub = slice(None) if train is None else train
         prop = propensity.fit_logistic_columns(
-            d.mask[rows], d.w[rows], cfg.prop_tol, cfg.prop_max_iter, cfg.prop_clip
+            d.mask[sub], d.w[sub], cfg.prop_tol, cfg.prop_max_iter, cfg.prop_clip
         )
-    return nu_hat, mu_hat, prop
+    return {m: fits.get(spec.nu) for m, spec in zip(methods, specs)}, prop
 
 
 def _at_rows(full, rows, part):
@@ -236,7 +250,6 @@ def infer_columns(
     method: MethodKind,
     cfg: InferenceConfig,
     nu_hat: ImputedMatrix = None,
-    mu_hat: ImputedMatrix = None,
     prop: PropensityColumns = None,
     oracle: np.ndarray = None,
     folds: int = 0,
@@ -244,18 +257,19 @@ def infer_columns(
     """Apply one estimator to all columns at once: the method's
     pseudo-outcomes, then one batched least-squares fit.
 
-    Missing nuisances (the configured imputer for nu_hat, lowdim for mu_hat,
-    a batched logistic fit of the mask for delta) are fitted on every row,
-    or with ``folds`` = K (DR methods, row-predictive imputers) cross-fitted:
-    each row's nu and delta come from fits on the other K - 1 folds.  Skipped
-    are all-missing columns, columns too sparse on a fold's training rows,
-    complete-case fits with too few rows or a singular design and DR fits of
-    a column whose propensity IRLS diverged.
+    ``nu_hat`` is the method's own nu (see ``_METHODS``; full and
+    complete-case ignore it).  Missing nuisances (nu from the configured
+    imputer or lowdim, delta from a batched logistic fit of the mask) are
+    fitted on every row, or with ``folds`` = K (DR methods, row-predictive
+    imputers) cross-fitted: each row's nu and delta come from fits on the
+    other K - 1 folds.  Skipped are all-missing columns, columns too sparse
+    on a fold's training rows, complete-case fits with too few rows or a
+    singular design and DR fits of a column whose propensity IRLS diverged.
     """
-    if method is MethodKind.FULL and oracle is None:
-        raise DataError("method 'full' requires an oracle complete matrix")
-    given = {"nu_hat": nu_hat and nu_hat.nu_hat, "mu_hat": mu_hat and mu_hat.nu_hat,
-             "prop": prop and prop.delta_hat}
+    spec = _METHODS[method]
+    if spec.nu == "oracle" and (oracle is None or not np.isfinite(oracle).all()):
+        raise DataError("method 'full' requires a finite oracle complete matrix")
+    given = {"nu_hat": nu_hat and nu_hat.nu_hat, "prop": prop and prop.delta_hat}
     for name, a in {**given, "oracle": oracle}.items():
         if a is not None and np.shape(a) != (d.n, d.p):
             raise DataError(f"{name} has shape {np.shape(a)}, expected ({d.n}, {d.p})")
@@ -263,7 +277,7 @@ def infer_columns(
     if folds:  # K folds dealt round-robin from a fixed permutation of the rows
         if any(a is not None for a in given.values()):
             raise DataError("cross-fitting fits its own nuisances; pass none with folds")
-        if method not in _DR:
+        if not spec.fitted_delta:
             raise DataError("cross-fitting applies to the DR estimators only")
         if folds < 2:
             raise DataError("need at least 2 folds")
@@ -273,42 +287,31 @@ def infer_columns(
         fold_of[np.random.default_rng(0).permutation(d.n)] = np.arange(d.n) % folds
         row_sets = [(fold_of != k, fold_of == k) for k in range(folds)]
 
-    nu = delta = None
+    nu = {"oracle": oracle, "zero": 0.0}.get(spec.nu)
+    delta = None if spec.fitted_delta else 1.0
     few = diverged = np.zeros(d.p, dtype=bool)
     for train, test in row_sets:
-        nu_k, mu_k, prop_k = _nuisances(d, (method,), cfg, nu_hat, mu_hat, prop, train, test)
-        source = mu_k if method is MethodKind.DR_W else nu_k
-        if source is not None:
-            nu = _at_rows(nu, test, source.nu_hat)
-            few = few | source.diagnostics.get("too_few", False)
-        if method in _DR:
+        nus, prop_k = _nuisances(d, (method,), cfg, nu_hat, prop, train, test)
+        if nus[method] is not None:
+            nu = _at_rows(nu, test, nus[method].nu_hat)
+            few = few | nus[method].diagnostics.get("too_few", False)
+        if spec.fitted_delta:
             delta_k = prop_k.delta_hat if test is None else prop_k.predict(d.w[test])
             delta = _at_rows(delta, test, delta_k)
             diverged = diverged | prop_k.diverged
     reasons = np.full(d.p, "", dtype=object)
     reasons[few] = "too few observed training rows"
-    if method in _DR:
-        reasons[diverged] = "propensity IRLS diverged"
-        bad = reasons != ""  # their nu and delta columns must still be finite
+    reasons[diverged] = "propensity IRLS diverged"
+    bad = reasons != ""
+    if bad.any():  # their nu and delta columns must still be finite
         nu, delta = np.where(bad, 0.0, nu), np.where(bad, 1.0, delta)
 
-    tcol = d.covariate_index(cfg.target)
-    variance_mode = cfg.variance_mode or _default_variance(method)
-    obs = None
-    if method is MethodKind.FULL:
-        response = pseudo_outcomes(oracle, 1.0, 1.0, 0.0).y_tilde
-    elif method is MethodKind.COMPLETE:
-        response, obs = d.y_obs, d.mask
-    elif method is MethodKind.PLUGIN:
-        response = pseudo_outcomes(d.y_obs, 0.0, 1.0, nu).y_tilde
-    elif method is MethodKind.PLUGIN_MISSING:
-        response = pseudo_outcomes(d.y_obs, d.mask, 1.0, nu).y_tilde
-    elif method in _DR:
-        response = pseudo_outcomes(d.y_obs, d.mask, delta, nu).y_tilde
-    else:
-        raise DataError(f"unknown method {method!r}")
-
+    c = d.mask if spec.masked else 0.0
+    response = pseudo_outcomes(d.y_obs, c, delta, nu).y_tilde
+    obs = d.mask if spec.nu == "zero" else None
+    variance_mode = cfg.variance_mode or spec.variance
     coef, cov, _, df, singular = _ols_columns(d.w, response, variance_mode, obs)
+    tcol = d.covariate_index(cfg.target)
     beta = coef[:, tcol]
     se = np.sqrt(np.maximum(cov[:, tcol, tcol], 0.0))
     z, p_value, degenerate = _p_values(beta, se, variance_mode, df)
@@ -318,18 +321,11 @@ def infer_columns(
         reasons[singular] = "singular complete-case design"
         short = rows < d.q + 2
         reasons[short] = [f"complete-case rows {r} < q+2" for r in rows[short]]
-    if method is not MethodKind.FULL:
+    if spec.nu != "oracle":  # the oracle has every cell
         reasons[~d.mask.any(axis=0)] = "all entries missing"
     skipped = reasons != ""
     beta, se, z, p_value = (np.where(skipped, np.nan, a) for a in (beta, se, z, p_value))
-    return ColumnInference(
-        beta=beta,
-        se=se,
-        z=z,
-        p_value=p_value,
-        degenerate=degenerate & ~skipped,
-        skip_reason=reasons,
-    )
+    return ColumnInference(beta, se, z, p_value, degenerate & ~skipped, reasons)
 
 
 def infer_all(
@@ -337,11 +333,10 @@ def infer_all(
     method: MethodKind,
     cfg: InferenceConfig,
     nu_hat: ImputedMatrix = None,
-    mu_hat: ImputedMatrix = None,
     prop: PropensityColumns = None,
     oracle: np.ndarray = None,
     folds: int = 0,
 ):
     """``infer_columns`` as records: (results, skips) in column order."""
-    est = infer_columns(d, method, cfg, nu_hat, mu_hat, prop, oracle, folds)
+    est = infer_columns(d, method, cfg, nu_hat, prop, oracle, folds)
     return _records(d.peptide_ids, method, est)

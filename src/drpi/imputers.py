@@ -37,9 +37,12 @@ class ImputedMatrix:
         object.__setattr__(self, "nu_hat", nu)
 
 
+BACKENDS = ("mean", "lowdim", "soft", "knn", "knn2", "external")
+
+
 @dataclass
 class ImputerConfig:
-    backend: str = "soft"  # mean | lowdim | soft | knn | knn2 | external
+    backend: str = "soft"  # one of BACKENDS
     rank_penalty: float = float("nan")  # soft-impute lambda; NaN = auto
     max_rank: int = 10
     k_neighbors: int = 10
@@ -48,6 +51,8 @@ class ImputerConfig:
     external_path: str = ""
 
     def __post_init__(self):
+        if self.backend not in BACKENDS:
+            raise DataError(f"unknown imputer backend {self.backend!r}")
         if self.k_neighbors < 1:
             raise DataError("k_neighbors must be >= 1")
         if self.max_rank < 0:
@@ -340,4 +345,4 @@ def impute(d: Dataset, cfg: ImputerConfig, train=None, at=None) -> ImputedMatrix
         return impute_knn(d, cfg)
     if cfg.backend == "external":
         return load_external_nu(cfg.external_path, d)
-    raise DataError(f"unknown imputer backend {cfg.backend!r}")
+    raise DataError(f"unknown imputer backend {cfg.backend!r}")  # a field set after construction

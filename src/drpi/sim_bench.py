@@ -234,18 +234,12 @@ class BenchResult:
 
 def _run_rep(cfg: SimConfig, rep: int, methods, inf_cfg: InferenceConfig, chol=None):
     d, truth = gen_dataset(cfg, rep, chol)
-    nu_aug, mu_low, prop = dr_inference._nuisances(d, methods, inf_cfg)
+    nus, prop = dr_inference._nuisances(d, methods, inf_cfg)
 
     out = {}
     for m in methods:
         est = dr_inference.infer_columns(
-            d,
-            m,
-            inf_cfg,
-            nu_hat=nu_aug,
-            mu_hat=mu_low,
-            prop=prop,
-            oracle=truth.y_full if m is MethodKind.FULL else None,
+            d, m, inf_cfg, nu_hat=nus[m], prop=prop, oracle=truth.y_full
         )
         cols = np.flatnonzero(est.kept)
         q = multiple_testing.bh_qvalues(est.p_value[cols])
@@ -276,7 +270,7 @@ def run_benchmark(
         raise DataError(f"threads must be >= 0, got {threads}")
     methods = tuple(methods)
     inf_cfg = inf_cfg or InferenceConfig(target="a")
-    if any(dr_inference._needs_augmented(m) for m in methods):
+    if any(dr_inference._METHODS[m].nu == "imputer" for m in methods):
         imputers.check_shape(inf_cfg.imputer.backend, inf_cfg.imputer, cfg.n, cfg.p)
     chol = _noise_factor(cfg)
 
@@ -340,6 +334,12 @@ def toy_power_experiment(
     multiple_testing.check_alpha(alpha)
     if reps < 1:
         raise DataError(f"reps must be >= 1, got {reps}")
+    if n < 2:
+        raise DataError(f"n must be >= 2, got {n}")
+    if not 0.0 < delta <= 1.0:
+        raise DataError(f"delta must be in (0, 1], got {delta:g}")
+    if not np.isfinite(beta):
+        raise DataError(f"beta must be finite, got {beta:g}")
     rows = []
     zcrit = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     for rho in rho_grid:
@@ -361,7 +361,7 @@ def toy_power_experiment(
         nu = beta * w + rho * (u - beta * w)  # E[Y | W, U]
         power = {}
         for tag, cond in (("w", mu), ("uw", nu)):
-            y_tilde = cond + (c / delta) * (np.where(c == 1, y, 0.0) - cond * c)
+            y_tilde = dr_inference.pseudo_outcomes(y, c, delta, cond).y_tilde
             sww = (w**2).sum(axis=1)
             bhat = (w * y_tilde).sum(axis=1) / sww
             r = y_tilde - bhat[:, None] * w

@@ -147,12 +147,10 @@ def test_start_rule_follows_the_intercept(layout, wide):
 def test_every_method_matches_reference_loop(method, desk):
     d, truth = desk
     cfg = InferenceConfig(target="a", imputer=ImputerConfig(backend="knn"))
-    nu = impute(d, cfg.imputer)
-    mu = impute_lowdim(d)
-    est = infer_columns(d, method, cfg, nu_hat=nu, mu_hat=mu, oracle=truth.y_full)
+    nu = impute_lowdim(d) if method is MethodKind.DR_W else impute(d, cfg.imputer)
+    est = infer_columns(d, method, cfg, nu_hat=nu, oracle=truth.y_full)
     got = np.column_stack([est.beta, est.se, est.p_value])
-    source = mu if method is MethodKind.DR_W else nu
-    want = ref.infer(d, method, TCOL, nu=source.nu_hat, oracle=truth.y_full, fit=_new_fit)
+    want = ref.infer(d, method, TCOL, nu=nu.nu_hat, oracle=truth.y_full, fit=_new_fit)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
 
 

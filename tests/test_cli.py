@@ -214,6 +214,21 @@ def test_empty_or_out_of_range_run_exits_2(argv, field, tmp_path, capsys, monkey
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--n", "0"), ("--n", "1"), ("--delta", "0"), ("--delta", "-0.2"), ("--delta", "1.5"),
+    ("--beta", "nan"), ("--beta", "inf"),
+])
+def test_toy_power_bad_n_delta_or_beta_exits_2(flag, value, tmp_path, capsys, monkeypatch):
+    """Fewer than 2 samples, an observation probability outside (0, 1] or
+    a non-finite effect would print RuntimeWarnings or write a power table
+    of 0s or 1s; each is refused by name before any draw."""
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: pytest.fail("a draw was made"))
+    out = tmp_path / "out.csv"
+    assert run_cli("toy-power", flag, value, "--reps", "10", "--out", str(out), "--quiet") == 2
+    assert f"{flag[2:]} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_version_via_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "drpi.cli", "--version"],

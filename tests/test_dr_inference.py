@@ -6,6 +6,8 @@ from scipy import special, stats
 
 from drpi.data_model import MethodKind, SkipRecord
 from drpi.dr_inference import (
+    _METHODS,
+    VARIANCE_MODES,
     InferenceConfig,
     _p_values,
     infer_all,
@@ -342,8 +344,7 @@ def test_cross_fit_preconditions():
     with pytest.raises(DataError):
         infer_all(d, MethodKind.DR_UW, bad, folds=2)
     # cross-fitting fits its own nuisances; passed ones are not ignored
-    given = {"nu_hat": impute_lowdim(d), "mu_hat": impute_lowdim(d),
-             "prop": fit_logistic_columns(d.mask, d.w)}
+    given = {"nu_hat": impute_lowdim(d), "prop": fit_logistic_columns(d.mask, d.w)}
     for name, nuisance in given.items():
         with pytest.raises(DataError, match="fits its own nuisances"):
             infer_all(d, MethodKind.DR_W, cfg, folds=2, **{name: nuisance})
@@ -357,23 +358,49 @@ def _given_nuisance(name, d):
         return MethodKind.DR_UW, {"nu_hat": ImputedMatrix(np.zeros((d.n, 1)), "x")}
     if name == "nu_hat":
         return MethodKind.DR_UW, {"nu_hat": impute_lowdim(short)}
-    if name == "mu_hat":
-        return MethodKind.DR_W, {"mu_hat": impute_lowdim(short)}
+    if name == "nu_hat_dr_w":
+        return MethodKind.DR_W, {"nu_hat": impute_lowdim(short)}
     if name == "prop":
         return MethodKind.DR_UW, {"prop": fit_logistic_columns(short.mask, short.w)}
     return MethodKind.FULL, {"oracle": np.zeros((d.n, d.p - 1))}
 
 
-@pytest.mark.parametrize("name", ["nu_hat_one_column", "nu_hat", "mu_hat", "prop", "oracle"])
+@pytest.mark.parametrize("name", ["nu_hat_one_column", "nu_hat", "nu_hat_dr_w", "prop", "oracle"])
 def test_mis_shaped_nuisance_raises_data_error(name):
     """A caller's nuisance of the wrong shape is refused by name, not
     broadcast over the columns or left to fail inside numpy."""
     d, _ = gen_dataset(SimConfig(model=3, n=60, p=10, seed=1))
     method, given = _given_nuisance(name, d)
-    arg = name.split("_one")[0]
+    (arg,) = given
     cfg = InferenceConfig(target="a", imputer=ImputerConfig(backend="lowdim"))
     with pytest.raises(DataError, match=rf"{arg} has shape \(60, \d+\), expected \(60, 10\)"):
         infer_columns(d, method, cfg, **given)
+
+
+def test_method_table_has_a_row_for_every_method():
+    assert list(_METHODS) == list(MethodKind)
+    assert {row.variance for row in _METHODS.values()} <= set(VARIANCE_MODES[1:])
+
+
+def test_unknown_variance_mode_rejected_at_construction():
+    """An unknown mode would fail in every later fit; the config refuses it."""
+    with pytest.raises(DataError, match="unknown variance mode 'hc2'"):
+        InferenceConfig(variance_mode="hc2")
+    for mode in VARIANCE_MODES:
+        InferenceConfig(variance_mode=mode)
+
+
+def test_passed_nu_hat_is_the_methods_own_nu():
+    """dr_w takes a passed nu_hat as its nu rather than fitting lowdim, so
+    with the same nu and fitted delta it is dr_uw's estimator."""
+    d, _ = gen_dataset(SimConfig(model=3, n=80, p=12, seed=2))
+    cfg = InferenceConfig(target="a", imputer=ImputerConfig(backend="lowdim"))
+    nu = impute_mean(d)
+    dr_w = infer_columns(d, MethodKind.DR_W, cfg, nu_hat=nu)
+    dr_uw = infer_columns(d, MethodKind.DR_UW, cfg, nu_hat=nu)
+    for a in ("beta", "se", "p_value"):
+        np.testing.assert_array_equal(getattr(dr_w, a), getattr(dr_uw, a))
+    assert not np.array_equal(dr_w.beta, infer_columns(d, MethodKind.DR_W, cfg).beta)
 
 
 # ------------------------------------------------------ double robustness

@@ -5,6 +5,7 @@ import pytest
 
 from drpi.errors import DataError
 from drpi.imputers import (
+    BACKENDS,
     ImputerConfig,
     impute,
     impute_knn,
@@ -231,6 +232,15 @@ def test_soft_one_iteration_is_one_svt_of_zero_filled_residual():
         out = impute_soft(d, cfg)
     np.testing.assert_allclose(out.nu_hat, wfit + svt_oracle(resid, 0.5, 3), atol=1e-10)
     assert out.diagnostics["iterations"] == 1 and not out.converged
+
+
+def test_unknown_backend_rejected_at_construction():
+    """An unknown backend would fail in every later impute call; the
+    config refuses it by name, and every listed backend is accepted."""
+    with pytest.raises(DataError, match="unknown imputer backend 'svd'"):
+        ImputerConfig(backend="svd")
+    for backend in BACKENDS:
+        ImputerConfig(backend=backend)
 
 
 def test_soft_negative_lambda_rejected():

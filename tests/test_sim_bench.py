@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from drpi import sim_bench
+from drpi import imputers, propensity, sim_bench
 from drpi.data_model import MethodKind
 from drpi.dr_inference import InferenceConfig
 from drpi.errors import DataError, NumericalError
@@ -214,6 +214,22 @@ def test_benchmark_factors_the_noise_covariance_once(threads, monkeypatch):
             np.testing.assert_array_equal(res.betas[m][rep], out[m][1])
             np.testing.assert_array_equal(res.fdr[(m, 0.05)][rep], out[m][0][0.05][0])
     assert len(calls) == 1 + cfg.reps
+
+
+def test_one_repetition_fits_each_nuisance_once(monkeypatch):
+    """All six methods share one knn fit, one lowdim fit (dr_w's nu) and
+    one batched propensity fit: a nuisance passed on is never refit."""
+    calls = []
+    impute, fit = imputers.impute, propensity.fit_logistic_columns
+    monkeypatch.setattr(imputers, "impute",
+                        lambda d, cfg, *a: calls.append(cfg.backend) or impute(d, cfg, *a))
+    monkeypatch.setattr(propensity, "fit_logistic_columns",
+                        lambda *a: calls.append("propensity") or fit(*a))
+    cfg = SimConfig(model=3, n=60, p=20, seed=1, reps=1)
+    inf = InferenceConfig(target="a", imputer=ImputerConfig(backend="knn", k_neighbors=5))
+    res = run_benchmark(cfg, tuple(MethodKind), inf_cfg=inf)
+    assert res.failed_reps == []
+    assert calls == ["knn", "lowdim", "propensity"]
 
 
 def test_failed_reps_recorded_for_any_thread_count(monkeypatch):
