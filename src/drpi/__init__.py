@@ -29,7 +29,6 @@ from .imputers import (
     impute,
     impute_knn,
     impute_lowdim,
-    impute_mean,
     impute_soft,
     load_external_nu,
 )
@@ -40,7 +39,6 @@ from .sim_bench import (
     SimConfig,
     SimTruth,
     gen_dataset,
-    gen_noise,
     run_benchmark,
     toy_power_experiment,
 )
@@ -68,11 +66,9 @@ __all__ = [
     "fit_logistic",
     "fit_logistic_columns",
     "gen_dataset",
-    "gen_noise",
     "impute",
     "impute_knn",
     "impute_lowdim",
-    "impute_mean",
     "impute_soft",
     "infer_all",
     "infer_columns",

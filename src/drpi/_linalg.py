@@ -64,7 +64,6 @@ def _normal_equations(w: np.ndarray, y: np.ndarray, obs=None):
     if obs is None:
         gram = (w.T @ w)[None]
     else:
-        y = np.where(obs == 1, y, 0.0)
         gram = (obs.T @ _outer_rows(w)).reshape(p, q, q)
     gram_inv, singular = _solve_or_pinv(gram, np.broadcast_to(np.eye(q), gram.shape))
     coef = np.matmul(gram_inv, (w.T @ y).T[:, :, None])[:, :, 0]
@@ -75,10 +74,12 @@ def _masked_least_squares(w: np.ndarray, y: np.ndarray, obs=None):
     """Normal-equation least squares of every column of y (n, p) on w (n, q).
 
     With ``obs``, an (n, p) 0/1 matrix, column j is fit on its rows with
-    obs == 1 only, through its own gram W' diag(obs_j) W; its other cells
-    are never read.  The grams are formed on ``_centred`` w and the results
-    mapped back.  A singular gram gets the minimum-norm solution in w's own
-    coordinates, as an SVD solver of w would give.
+    obs == 1 only, through its own gram W' diag(obs_j) W; y must be 0
+    wherever obs is 0.  The grams are formed on ``_centred`` w and the results
+    mapped back.  With ``obs``, a singular gram gets the minimum-norm
+    solution in w's own coordinates, as an SVD solver of w would give;
+    without, a singular w is the caller's error (a ``Dataset``'s W has full
+    rank).
 
     Returns (coef (p, q), gram_inv (p, q, q), or (1, q, q) without obs,
     singular (p,)).
@@ -89,11 +90,9 @@ def _masked_least_squares(w: np.ndarray, y: np.ndarray, obs=None):
     if a is None:
         return _normal_equations(w, y, obs)
     coef, gram_inv, singular = _normal_equations(wc, y, obs)
-    if singular.any() and obs is None:
-        return _normal_equations(w, y)
     coef = coef @ a.T  # w_centred = w a: beta = a beta_c, (W'W)^-1 = a G_c^-1 a'
     gram_inv = a @ gram_inv @ a.T
-    if singular.any():  # a rank-deficient fit has many solutions: keep w's own minimum-norm one
+    if obs is not None and singular.any():  # many solutions: keep w's own minimum-norm one
         cols = np.flatnonzero(singular)
         coef[cols], gram_inv[cols], _ = _normal_equations(w, y[:, cols], obs[:, cols])
     return coef, gram_inv, singular

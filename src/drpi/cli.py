@@ -110,7 +110,7 @@ def build_parser() -> _Parser:
         default="full,complete,plugin,plugin_missing,dr_w,dr_uw",
     )
     si.add_argument("--cutoffs", type=_list_of("--cutoffs", float))
-    _add_imputer(si, imputers.BACKENDS[:-1])
+    _add_imputer(si, [b for b in imputers.BACKENDS if b != "external"])
     si.add_argument(
         "--preset",
         default="",
@@ -219,9 +219,9 @@ def _config(cls, args, **base):
 
 
 def _cmd_analyze(args) -> int:
-    cfg = _config(InferenceConfig, args, imputer=_config(ImputerConfig, args))
-    if (cfg.imputer.backend == "external") != bool(cfg.imputer.external_path):
+    if (getattr(args, "backend", "") == "external") != bool(getattr(args, "external_path", "")):
         raise DataError("--external-nu and --imputer external must be given together")
+    cfg = _config(InferenceConfig, args, imputer=_config(ImputerConfig, args))
     for flag, rate in _given(args, ("obs_threshold", "feed_threshold")).items():
         if not 0.0 <= rate <= 1.0:
             raise DataError(f"--{flag.replace('_', '-')} must be in [0, 1], got {rate:g}")

@@ -63,6 +63,8 @@ class ImputerConfig:
             raise DataError("max_iter (soft-impute iterations) must be >= 1")
         if not self.tol >= 0:
             raise DataError("tol (soft-impute tolerance) must be >= 0")
+        if self.backend == "external" and not self.external_path:
+            raise DataError("the external imputer needs external_path, its fitted-means CSV")
 
 
 def check_shape(backend: str, cfg: ImputerConfig, n: int, p: int) -> None:
@@ -100,7 +102,9 @@ def _row_fit(d: Dataset, backend: str, train=None, at=None):
         return np.tile(_column_means(d, train), (len(w_at), 1)), counts == 0
     few = counts <= d.q
     # a column copy even if every column fits: pinned full-sample outputs round in its F order
-    coef = _masked_least_squares(d.w[rows], d.y_obs[rows][:, ~few], mask[:, ~few])[0]
+    y, obs = d.y_obs[rows][:, ~few], mask[:, ~few]
+    y[obs == 0] = 0.0  # in place, keeping that order
+    coef = _masked_least_squares(d.w[rows], y, obs)[0]
     nu = np.empty((len(w_at), d.p))
     nu[:, ~few] = w_at @ coef.T
     if few.any():  # warns about all-missing columns, before the rest below
@@ -110,11 +114,6 @@ def _row_fit(d: Dataset, backend: str, train=None, at=None):
             pid = d.peptide_ids[j]
             warnings.warn(f"column {pid!r}: observed count <= q, falling back to mean imputation")
     return nu, few
-
-
-def impute_mean(d: Dataset) -> ImputedMatrix:
-    """Observed column mean at every row."""
-    return ImputedMatrix(_row_fit(d, "mean")[0], backend="mean")
 
 
 def _lowdim_matrix(d: Dataset) -> np.ndarray:

@@ -66,16 +66,23 @@ def _prob_loglik(c, eta):
     return prob, ll
 
 
-def _loglik(c, eta):
-    """sum c*eta - log(1 + exp(eta)) over the last axis, stable for large |eta|."""
-    return _prob_loglik(c, eta)[1]
-
-
 def _eta(wt: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """(p, n) linear predictors coef[j] @ wt, wt the (q, n) transpose of
     the covariates; pass it contiguous, as a strided w.T is several times
     slower."""
     return np.einsum("jk,kn->jn", coef, wt)
+
+
+def _propensity(w, coef, separated, constant, clip_floor):
+    """(m, p) fitted probabilities at the rows of w (m, q) of the p fits
+    ``coef`` (p, q): each column's sigmoid of its linear predictor, or a
+    separated column's constant, clipped to [clip_floor, 1]."""
+    wt = np.ascontiguousarray(np.atleast_2d(np.asarray(w, dtype=float)).T)
+    if wt.shape[0] != coef.shape[1]:
+        raise DataError(f"covariate count {wt.shape[0]} does not match fit ({coef.shape[1]})")
+    pred = _sigmoid(_eta(wt, coef)).T
+    pred[:, separated] = constant[separated]
+    return np.clip(pred, clip_floor, 1.0)
 
 
 @dataclass(frozen=True)
@@ -91,17 +98,8 @@ class PropensityFit:
     constant_value: float = float("nan")  # set when separated
 
     def predict(self, w_new: np.ndarray) -> np.ndarray:
-        w_new = np.atleast_2d(np.asarray(w_new, dtype=float))
-        if w_new.shape[1] != self.coef.shape[0]:
-            raise DataError(
-                f"covariate count {w_new.shape[1]} does not match fit "
-                f"({self.coef.shape[0]})"
-            )
-        if self.separated:
-            pred = np.full(w_new.shape[0], self.constant_value)
-        else:
-            pred = _sigmoid(_eta(np.ascontiguousarray(w_new.T), self.coef[None])[0])
-        return np.clip(pred, self.clip_floor, 1.0)
+        sep, const = np.array([self.separated]), np.array([self.constant_value])
+        return _propensity(w_new, self.coef[None], sep, const, self.clip_floor)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -134,15 +132,7 @@ class PropensityColumns:
 
     def predict(self, w_new: np.ndarray) -> np.ndarray:
         """(m, p) clipped fitted probabilities at new covariate rows."""
-        wt = np.ascontiguousarray(np.atleast_2d(np.asarray(w_new, dtype=float)).T)
-        if wt.shape[0] != self.coef.shape[1]:
-            raise DataError(
-                f"covariate count {wt.shape[0]} does not match fit "
-                f"({self.coef.shape[1]})"
-            )
-        pred = _sigmoid(_eta(wt, self.coef)).T
-        pred[:, self.separated] = self.constant_value[self.separated]
-        return np.clip(pred, self.clip_floor, 1.0)
+        return _propensity(w_new, self.coef, self.separated, self.constant_value, self.clip_floor)
 
     def column(self, j: int) -> PropensityFit:
         return PropensityFit(
@@ -266,11 +256,9 @@ def fit_logistic_columns(
     iterations[cols] = max_iter
 
     coef[diverged] = np.nan
-    delta = np.clip(_sigmoid(_eta(wt, coef)).T, clip_floor, 1.0)
-    delta[:, separated] = np.where(constant[separated] == 1.0, 1.0, clip_floor)
     return PropensityColumns(
         coef=coef,
-        delta_hat=delta,
+        delta_hat=_propensity(w, coef, separated, constant, clip_floor),
         clip_floor=clip_floor,
         converged=converged,
         iterations=iterations,

@@ -68,7 +68,6 @@ class SimTruth:
     signal_set: np.ndarray
     a: np.ndarray
     x: np.ndarray
-    epsilon: np.ndarray
     beta_a: float
 
 
@@ -95,19 +94,9 @@ def _cholesky_spd(cov: np.ndarray) -> np.ndarray:
         raise DataError("covariance not SPD after jitter") from None
 
 
-def gen_noise(
-    n: int,
-    p: int,
-    cov: np.ndarray,
-    skewed: bool = False,
-    rng: np.random.Generator = None,
-) -> np.ndarray:
-    """Correlated Gaussian rows; optionally skewed by shift-log-recenter."""
-    return _draw_noise(n, p, _cholesky_spd(cov), skewed, rng or np.random.default_rng())
-
-
 def _draw_noise(n, p, chol, skewed, rng):
-    """gen_noise from the covariance's Cholesky factor ``chol``."""
+    """Correlated Gaussian rows from the covariance's Cholesky factor ``chol``;
+    optionally skewed by shift-log-recenter."""
     eps = rng.standard_normal((n, p)) @ chol.T
     if skewed:
         eps = eps - eps.min(axis=0) + 0.1  # per-column minimum is +0.1
@@ -175,10 +164,7 @@ def gen_dataset(cfg: SimConfig, rep: int = 0, chol: np.ndarray = None):
         sample_ids=tuple(str(i) for i in range(n)),
         covariate_names=names,
     )
-    truth = SimTruth(
-        y_full=y, signal_set=signal, a=a, x=x, epsilon=eps, beta_a=c_sig
-    )
-    return d, truth
+    return d, SimTruth(y_full=y, signal_set=signal, a=a, x=x, beta_a=c_sig)
 
 
 def fdr_tpr(selected: np.ndarray, signal_set: np.ndarray):
@@ -327,10 +313,12 @@ def toy_power_experiment(
     Outcome Y = beta*W + e and auxiliary U = beta*W + e_u with
     Cor(e, e_u) = rho; observation is Bernoulli(delta) with delta known, and
     the oracle conditional means are used for both pseudo-outcomes.
-    Vectorized over repetitions.
+    Vectorized over repetitions.  The test is the sandwich z-test of
+    ``infer_columns``.  A repetition with no observed sample (its
+    pseudo-outcome is the conditional mean alone, for W exactly beta*W with
+    an se of rounding noise or 0) or whose se is 0 is left out of that
+    method's power and MC-SE, which are NaN if no repetition is left.
     """
-    from statistics import NormalDist  # imports fractions and decimal; only this command needs it
-
     multiple_testing.check_alpha(alpha)
     if reps < 1:
         raise DataError(f"reps must be >= 1, got {reps}")
@@ -341,7 +329,6 @@ def toy_power_experiment(
     if not np.isfinite(beta):
         raise DataError(f"beta must be finite, got {beta:g}")
     rows = []
-    zcrit = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     for rho in rho_grid:
         if not 0.0 <= rho <= 1.0:
             raise DataError("rho must be in [0, 1]")
@@ -359,26 +346,21 @@ def toy_power_experiment(
 
         mu = beta * w  # E[Y | W]
         nu = beta * w + rho * (u - beta * w)  # E[Y | W, U]
-        power = {}
+        power, seen = {}, c.any(axis=1)
         for tag, cond in (("w", mu), ("uw", nu)):
             y_tilde = dr_inference.pseudo_outcomes(y, c, delta, cond).y_tilde
             sww = (w**2).sum(axis=1)
             bhat = (w * y_tilde).sum(axis=1) / sww
             r = y_tilde - bhat[:, None] * w
             var = ((r**2) * (w**2)).sum(axis=1) / sww**2
-            zstat = bhat / np.sqrt(var)
-            rej = np.abs(zstat) > zcrit
-            power[tag] = float(rej.mean())
+            _, pval, degenerate = dr_inference._p_values(bhat, np.sqrt(var), "sandwich", None)
+            power[tag] = pval[seen & ~degenerate] < alpha
         for tag in ("w", "uw"):
-            pw = power[tag]
-            rows.append(
-                {
-                    "method": tag,
-                    "rho": float(rho),
-                    "power": pw,
-                    "mc_se": float(np.sqrt(pw * (1.0 - pw) / reps)),
-                }
-            )
+            rej, pw, se = power[tag], float("nan"), float("nan")
+            if rej.size:
+                pw = float(rej.mean())
+                se = float(np.sqrt(pw * (1.0 - pw) / rej.size))
+            rows.append({"method": tag, "rho": float(rho), "power": pw, "mc_se": se})
     return rows
 
 

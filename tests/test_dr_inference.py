@@ -16,7 +16,7 @@ from drpi.dr_inference import (
     pseudo_outcomes,
 )
 from drpi.errors import DataError
-from drpi.imputers import ImputedMatrix, ImputerConfig, impute_lowdim, impute_mean
+from drpi.imputers import ImputedMatrix, ImputerConfig, impute, impute_lowdim
 from drpi.propensity import fit_logistic_columns
 from drpi.sim_bench import SimConfig, gen_dataset
 from tests.test_data_model import make_dataset
@@ -395,7 +395,7 @@ def test_passed_nu_hat_is_the_methods_own_nu():
     with the same nu and fitted delta it is dr_uw's estimator."""
     d, _ = gen_dataset(SimConfig(model=3, n=80, p=12, seed=2))
     cfg = InferenceConfig(target="a", imputer=ImputerConfig(backend="lowdim"))
-    nu = impute_mean(d)
+    nu = impute(d, ImputerConfig(backend="mean"))
     dr_w = infer_columns(d, MethodKind.DR_W, cfg, nu_hat=nu)
     dr_uw = infer_columns(d, MethodKind.DR_UW, cfg, nu_hat=nu)
     for a in ("beta", "se", "p_value"):

@@ -9,6 +9,17 @@ SRC = ROOT / "src" / "drpi"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
+def test_exports_are_unique_and_bound():
+    """Every name in drpi.__all__ is listed once and bound by a star import,
+    so a deleted function cannot leave a dangling export."""
+    import drpi
+
+    assert len(set(drpi.__all__)) == len(drpi.__all__)
+    namespace = {}
+    exec("from drpi import *", namespace)
+    assert set(drpi.__all__) <= namespace.keys()
+
+
 def unused_imports(source: str) -> list:
     """Names a module imports and never references, in import order."""
     tree = ast.parse(source)

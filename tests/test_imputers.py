@@ -10,11 +10,15 @@ from drpi.imputers import (
     impute,
     impute_knn,
     impute_lowdim,
-    impute_mean,
     impute_soft,
     load_external_nu,
 )
 from tests.test_data_model import make_dataset
+
+
+def impute_mean(d):
+    """The mean backend's fit on every row."""
+    return impute(d, ImputerConfig(backend="mean"))
 
 
 def rand_dataset(rng, n=12, p=6, miss=0.25, q_extra=1):
@@ -240,7 +244,13 @@ def test_unknown_backend_rejected_at_construction():
     with pytest.raises(DataError, match="unknown imputer backend 'svd'"):
         ImputerConfig(backend="svd")
     for backend in BACKENDS:
-        ImputerConfig(backend=backend)
+        ImputerConfig(backend=backend, external_path="nu.csv")
+
+
+def test_external_backend_without_a_file_rejected_at_construction():
+    """With no file, every impute call would fail on opening ''."""
+    with pytest.raises(DataError, match="external imputer needs external_path"):
+        ImputerConfig(backend="external")
 
 
 def test_soft_negative_lambda_rejected():
@@ -423,7 +433,7 @@ def test_row_fit_never_reads_held_out_cells(backend):
 def test_row_fit_needs_a_row_predictive_backend(backend):
     d = rand_dataset(np.random.default_rng(15), n=20)
     with pytest.raises(DataError, match="row-predictive imputer"):
-        impute(d, ImputerConfig(backend=backend), train=np.arange(d.n) < 15)
+        impute(d, ImputerConfig(backend, external_path="nu.csv"), train=np.arange(d.n) < 15)
 
 
 def test_external_nu_round_trip(tmp_path):

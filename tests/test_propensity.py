@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from drpi.errors import DataError
-from drpi.propensity import _loglik, _prob_loglik, _sigmoid, fit_logistic, fit_logistic_columns
+from drpi.propensity import _prob_loglik, _sigmoid, fit_logistic, fit_logistic_columns
+
+
+def _loglik(c, eta):
+    return _prob_loglik(c, eta)[1]
 from drpi.sim_bench import SimConfig, gen_dataset
 
 

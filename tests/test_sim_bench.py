@@ -13,7 +13,6 @@ from drpi.sim_bench import (
     ar1_cov,
     fdr_tpr,
     gen_dataset,
-    gen_noise,
     load_cov_csv,
     mar_missing_prob,
     run_benchmark,
@@ -22,6 +21,11 @@ from drpi.sim_bench import (
 
 
 # ------------------------------------------------------------- generators
+
+
+def gen_noise(n, p, cov, skewed=False, rng=None):
+    """n correlated noise rows with covariance ``cov``, as gen_dataset draws them."""
+    return sim_bench._draw_noise(n, p, sim_bench._cholesky_spd(cov), skewed, rng)
 
 
 def test_ar1_cov_entries():
@@ -340,12 +344,17 @@ def test_toy_power_rejects_bad_alpha():
         toy_power_experiment([0.5], reps=10, alpha=1.5)
 
 
-@pytest.mark.parametrize("alpha", [0.2, 0.1, 0.05, 0.01, 0.001])
-def test_toy_power_critical_value_matches_ndtri(alpha):
-    """toy_power_experiment's zcrit, NormalDist().inv_cdf(1 - alpha/2), is
-    scipy's ndtri within 1e-15."""
-    from statistics import NormalDist
-
-    from scipy.special import ndtri
-
-    assert abs(NormalDist().inv_cdf(1.0 - alpha / 2.0) - ndtri(1.0 - alpha / 2.0)) <= 1e-15
+def test_toy_power_leaves_out_repetitions_without_a_test():
+    """At n = 2 about 9% of repetitions observe no sample; their W
+    pseudo-outcome is beta*W, whose se is 0 or rounding noise.  They are
+    left out of the power and its MC-SE, not counted as rejections, and
+    with none left both are NaN, without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = toy_power_experiment([0.0, 0.5], n=2, reps=200, seed=0)
+        empty = toy_power_experiment([0.0, 0.5], n=2, delta=1e-9, reps=20, seed=0)
+    for row in rows:
+        kept = row["power"] * (1 - row["power"]) / row["mc_se"] ** 2
+        assert 150 < round(kept) < 200  # the repetitions with an observed sample
+        assert kept == pytest.approx(round(kept), rel=1e-9)
+    assert all(np.isnan(row["power"]) and np.isnan(row["mc_se"]) for row in empty)
