@@ -154,7 +154,7 @@ def _apply_config_file(argv):
     if not known.config:
         return argv
     overrides = {}
-    with open(known.config) as fh:
+    with open(known.config, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -9,11 +9,19 @@ through a full SVD and iterates plain proximal-gradient steps (and, in
 ``soft_impute_apg``, the accelerated loop as first written), the knn
 imputers loop over columns, neighbours and rows, and p-values come from
 ``scipy.stats``.  Tests compare the batched estimators against these loops.
+
+The CSV reader and writer at the end are the cell-by-cell originals:
+``csv.reader`` over the file, a ``float()`` per observed cell behind a
+missing-cell predicate, and a type check per written cell.
 """
+import csv
+from itertools import chain, compress
+
 import numpy as np
 from scipy import stats
 
 from drpi.data_model import MethodKind
+from drpi.errors import DataError
 from drpi.imputers import SOFT_LAMBDA_FRACTION, _column_means, _lowdim_matrix, _pairwise_stats
 from drpi.propensity import _sigmoid
 
@@ -283,3 +291,56 @@ def soft_impute_apg(d, cfg):
             break
     diagnostics = {"lambda": lam, "iterations": iterations, "rank": rank, "rel_change": rel_change}
     return wfit + z, converged, diagnostics
+
+
+def read_csv(path) -> tuple:
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    return rows[0], rows[1:]
+
+
+def parse_cells(rows, names, what: str, is_missing=None) -> tuple:
+    n, p = len(rows), len(names)
+    ragged = next((i for i, row in enumerate(rows) if len(row) != p), n)
+    cells = list(map(str.strip, chain.from_iterable(rows[:ragged])))
+    if is_missing is None:
+        observed = np.ones(len(cells), bool)
+    else:
+        observed = ~np.fromiter(map(is_missing, cells), bool, len(cells))
+    try:
+        vals = np.fromiter(map(float, compress(cells, observed)), float)
+    except ValueError:
+        for k in np.flatnonzero(observed):
+            try:
+                float(cells[k])
+            except ValueError:
+                raise DataError(
+                    f"non-numeric {what} cell at row {k // p}, column "
+                    f"{names[k % p]!r}: {cells[k]!r}"
+                ) from None
+    if ragged < n:
+        raise DataError(f"{what} row {ragged} has {len(rows[ragged])} cells, expected {p}")
+    values = np.full(n * p, np.nan)
+    values[observed] = vals
+    return values.reshape(n, p), observed.reshape(n, p)
+
+
+def write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows(
+            [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+            for row in rows
+        )
+
+
+def write_results(results, path):
+    header = ["peptide_id", "method", "beta", "se", "z", "p_value", "q_value", "selected"]
+    write_csv(path, header, (
+        [r.peptide_id, r.method.value, float(r.beta), float(r.se), float(r.z),
+         float(r.p_value), "" if np.isnan(r.q_value) else float(r.q_value), int(r.selected)]
+        for r in results
+    ))

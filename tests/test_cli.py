@@ -167,6 +167,39 @@ def test_out_of_range_flag_exits_2_before_reading_csvs(flag, value, field, tmp_p
     assert not out.exists()
 
 
+def test_byte_order_marks_are_not_read_as_names(csv_pair, tmp_path):
+    """Excel's "CSV UTF-8" export starts each file with a byte-order mark;
+    the covariate and the first peptide id keep their plain names."""
+    marked = []
+    for path in csv_pair:
+        marked.append(tmp_path / f"bom_{path.name}")
+        marked[-1].write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    outs = []
+    for outcomes, covariates in (csv_pair, marked):
+        outs.append(tmp_path / f"out{len(outs)}.csv")
+        assert run_cli(
+            "analyze", "--outcomes", str(outcomes), "--covariates", str(covariates),
+            "--target", "a", "--imputer", "lowdim", "--out", str(outs[-1]), "--quiet",
+        ) == 0
+    assert outs[1].read_bytes() == outs[0].read_bytes()
+    assert b"pep0," in outs[1].read_bytes()
+
+
+def test_quoted_field_over_csv_limit_exits_2(csv_pair, tmp_path, capsys):
+    """csv.reader refuses a field over 131072 characters; the command says
+    which file instead of ending in a traceback."""
+    bad = tmp_path / "quoted.csv"
+    bad.write_text('"a"\n"' + "1" * 200_000 + '"\n')
+    out = tmp_path / "out.csv"
+    code = run_cli(
+        "analyze", "--outcomes", str(csv_pair[0]), "--covariates", str(bad),
+        "--target", "a", "--out", str(out), "--quiet",
+    )
+    assert code == 2
+    assert "quoted.csv: field larger than field limit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_external_nu_without_external_imputer_exits_2(csv_pair, tmp_path, capsys):
     """An --external-nu file would be ignored by any other imputer."""
     out = tmp_path / "out.csv"

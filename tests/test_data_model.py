@@ -1,18 +1,28 @@
+import csv
+import io
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drpi.data_model import (
     Dataset,
+    MethodKind,
+    PeptideInference,
+    _parse_cells,
+    _read_csv,
     filter_by_rate,
     load_dataset,
     observation_rate,
     write_dataset,
+    write_results,
 )
 from drpi.errors import DataError
 from drpi.imputers import load_external_nu
 from drpi.sim_bench import load_cov_csv
+from tests import reference_loops as ref
 
 
 def make_dataset(y, mask, w, **kw):
@@ -300,3 +310,142 @@ def test_dataset_immutable():
     )
     with pytest.raises(ValueError):
         d.y_obs[0, 0] = 99.0
+
+
+# The CSV reader and writer against the cell-by-cell originals in
+# tests/reference_loops.py: values and masks bitwise, DataError messages
+# equal, written files byte for byte.
+
+READER_CASES = {
+    "padded": "a,b\n 1.5 , 2\n3 ,\t4\t\n",
+    "whitespace_only": "a,b\n1,  \n\t ,4\n",
+    "tokens": "a,b\nNA,2\n NA ,-999\n-999 ,4\n",
+    "negative_zero": "a,b\n-0.0,0.0\n-0,+0\n",
+    "nan_observed": "a,b\nnan,1\n2,NaN\n",
+    "underscores_and_exponents": "a,b\n1_000,2e3\n-inf,.5\n",
+    "bad_then_ragged": "a,b\n1,x\n3\n",
+    "ragged_then_bad": "a,b\n1\n3,x\n",
+    "ragged_long_row": "a,b\n1,2\n3,4,5\n",
+    "blank_line": "a,b\n1,2\n\n3,4\n",
+    "trailing_newlines": "a,b\n1,2\n3,4\n\n\n",
+    "no_final_newline": "a,b\n1,2\n3,4",
+    "lone_cr": "a,b\r1,2\r3,4",
+    "crlf": "a,b\r\n1,2\r\n3,4\r\n",
+    "mixed_line_ends": "a,b\r\n1,2\n3,4\r5,6\r\n",
+    "control_characters_that_end_no_csv_line": "a,b\n1,2\x0c\n3\x0b,4\n5\x1c,6\n",
+    "quoted_header": '"a","b"\r\n1,2\r\n3,\r\n',
+    "quoted_header_escapes": '"a""q","b,c"\n1,2\n',
+    "quoted_header_line_break": '"a\nq",b\n1,2\n',
+    "open_quote_in_header": '"a,b\n1,2\n',
+    "quote_inside_field": 'a"b,c\n1,2\n',
+    "quoted_body": 'a,b\n"1",2\n" 3 ",""\n',
+    "header_only": "a,b\n",
+    "header_without_line_end": "a,b",
+    "blank_first_line": "\na,b\n1,2\n",
+    "empty": "",
+}
+
+
+def _read_and_parse(read, parse, path, missing):
+    try:
+        header, rows = read(path)
+        return (header, *parse(rows, header, "outcome", missing))
+    except DataError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("token", ["", "NA", "-999", None])
+@pytest.mark.parametrize("case", sorted(READER_CASES))
+def test_reader_matches_reference_loop(tmp_path, case, token):
+    """None stands for a matrix without missing cells (covariates, mask,
+    external ν); a token adds itself to the empty cell as missing."""
+    path = tmp_path / "y.csv"
+    path.write_bytes(READER_CASES[case].encode())
+    missing = None if token is None else {"", token}
+    got = _read_and_parse(_read_csv, _parse_cells, path, () if missing is None else missing)
+    want = _read_and_parse(
+        ref.read_csv, ref.parse_cells, path, None if missing is None else missing.__contains__
+    )
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got[0] == want[0]
+    assert got[1].dtype == want[1].dtype and got[1].shape == want[1].shape
+    assert np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
+    assert np.array_equal(got[2], want[2])
+
+
+def _results():
+    ids = ["p1", "pep,2", 'pep"3', "pep\n4", " pep5 ", "pep\r6"]
+    beta = [0.1, -0.0, np.float64(1e-300), float("inf"), np.float64("nan"), 3]
+    q = [float("nan"), 0.0, np.float64(1 / 3), np.float64("nan"), 1.0, 0.1 + 0.2]
+    methods = [MethodKind.DR_UW, MethodKind.PLUGIN, MethodKind.COMPLETE] * 2
+    return [
+        PeptideInference(
+            pid, m, b, se=abs(b) / 3 + 1e-17 * k, z=np.float64(-b), p_value=1 / (k + 1),
+            q_value=qv, selected=bool(k % 2), degenerate=k == 3,
+        )
+        for k, (pid, m, b, qv) in enumerate(zip(ids, methods, beta, q))
+    ]
+
+
+@pytest.mark.parametrize("count", [0, 1, 6])
+def test_write_results_matches_reference_loop(tmp_path, count):
+    results = _results()[:count]
+    write_results(iter(results), tmp_path / "new.csv")  # any iterable, read once
+    ref.write_results(results, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_quoted_header_keeps_the_split_body(tmp_path):
+    """A body without a quote is split, so csv's 131072-character field
+    limit does not apply to it, even under a quoted header."""
+    path = tmp_path / "y.csv"
+    path.write_text('"a","b"\n' + " " * 200_000 + "1,2\n3,4\n")
+    header, rows = _read_csv(path)
+    assert header == ["a", "b"]
+    assert _parse_cells(rows, header, "outcome", {""})[0].tolist() == [[1, 2], [3, 4]]
+
+
+def test_csv_error_names_the_file(tmp_path):
+    path = tmp_path / "y.csv"
+    path.write_text('"a"\n"' + "1" * 200_000 + '"\n')
+    with pytest.raises(DataError, match=r"y\.csv: field larger than field limit"):
+        _read_csv(path)
+
+
+def test_undecodable_file_is_a_data_error(tmp_path):
+    path = tmp_path / "y.csv"
+    path.write_bytes(b"a\n\xe9\n")
+    with pytest.raises(DataError, match=r"y\.csv: .*can't decode byte 0xe9"):
+        _read_csv(path)
+
+
+# csv.reader refuses NUL on Python 3.10; a BOM is dropped only at the start
+_CSV_CHAR = st.one_of(
+    st.sampled_from(list(',\r\n \t1.a"\x0b\x0c\x1c\x85\u2028\ufeff')),
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+)
+
+
+def _reader_agrees_with_csv(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_bytes(text.encode())
+    want = list(csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline="")))
+    if not want:
+        with pytest.raises(DataError, match="empty file"):
+            _read_csv(path)
+    else:
+        assert _read_csv(path) == (want[0], want[1:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(_CSV_CHAR.filter(lambda c: c != '"'), max_size=60))
+def test_split_rows_equal_csv_reader_without_quotes(tmp_path_factory, text):
+    _reader_agrees_with_csv(tmp_path_factory, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(_CSV_CHAR, max_size=60))
+def test_rows_equal_csv_reader_with_quotes(tmp_path_factory, text):
+    _reader_agrees_with_csv(tmp_path_factory, text)

@@ -113,6 +113,40 @@ def test_only_data_model_imports_csv():
     assert users == ["data_model.py"]
 
 
+def text_opens_without_encoding(source: str) -> list:
+    """Line numbers of the ``open(...)`` calls in a source, builtin or a
+    method such as ``Path.open``, that open text without naming an
+    ``encoding=``, so that they read the locale's."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and
+                getattr(node.func, "id", getattr(node.func, "attr", None)) == "open"):
+            continue
+        # the mode is the first or second argument, or mode=
+        modes = [a for a in node.args[:2] + [k.value for k in node.keywords if k.arg == "mode"]
+                 if isinstance(a, ast.Constant) and isinstance(a.value, str)
+                 and set(a.value) <= set("rwxabt+")]
+        binary = any("b" in m.value for m in modes)
+        if not binary and not any(k.arg == "encoding" for k in node.keywords):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_text_opens_without_encoding_are_found():
+    src = (
+        "open(p)\nopen(p, 'rb')\nopen(p, mode='w', encoding='utf-8')\n"
+        "path.open('w')\nopen(p, newline='')\nio.open(p, 'wb')\npath.open('rb')\n"
+    )
+    assert text_opens_without_encoding(src) == [1, 4, 5]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_text_files_name_their_encoding(module):
+    """Every text file drpi reads or writes has a stated encoding, so a
+    CSV or config file means the same under any locale."""
+    assert text_opens_without_encoding((SRC / module).read_text()) == []
+
+
 def test_only_cli_names_ctypes():
     """The process-wide allocator setting is made by the command alone, so
     importing drpi as a library changes nothing in the caller's process."""
