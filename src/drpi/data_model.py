@@ -163,27 +163,22 @@ class Dataset:
 
 def _split_rows(lines):
     """``csv.reader``'s rows of ``lines``, a text file opened with
-    ``newline=""``, or None where a quote needs ``csv.reader``.
+    ``newline=""``.
 
     A line without a quote is split with ``str.split``, which gives the
-    same row at a fraction of the cost. A quoted header alone, as R's
-    ``write.csv`` writes, still has its body split; a quote in the body,
-    or a header quote left open, gives None.
+    same row at a fraction of the cost. From the first line with a quote
+    on, ``csv.reader`` reads the rest, so the file is read once even
+    when it is a pipe.
     """
+    lines = iter(lines)
     rows = []
     for line in lines:
         if '"' in line:
-            if rows:
-                return None
-            try:
-                # strict, so that a quote left open, which would run on
-                # into the body, raises instead
-                rows.append(next(csv.reader([line], strict=True)))
-            except csv.Error:
-                return None
-        else:
-            line = line.rstrip("\r\n")
-            rows.append(line.split(",") if line else [])
+            # csv.reader keeps no state across an unquoted line end
+            rows.extend(csv.reader(chain([line], lines)))
+            break
+        line = line.rstrip("\r\n")
+        rows.append(line.split(",") if line else [])
     return rows
 
 
@@ -193,9 +188,6 @@ def _read_csv(path) -> tuple:
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = _split_rows(fh)
-        if rows is None:
-            with open(path, newline="", encoding="utf-8-sig") as fh:
-                rows = list(csv.reader(fh))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: {exc}") from None
     if not rows:
