@@ -88,7 +88,7 @@ class Dataset:
         w = np.asarray(self.w, dtype=float)
         if y.shape != m.shape:
             raise DataError(f"y_obs shape {y.shape} != mask shape {m.shape}")
-        if not np.isin(m, (0, 1)).all():
+        if not ((m == 0) | (m == 1)).all():
             raise DataError("mask entries must be 0 or 1")
         m = m.astype(np.int8)
         n, p = y.shape
@@ -99,7 +99,7 @@ class Dataset:
             raise DataError(f"need n > q, got n={n}, q={q}")
         if np.linalg.matrix_rank(w) < q:
             raise DataError("covariate matrix is rank deficient")
-        if not np.isfinite(y[m == 1]).all():
+        if not (np.isfinite(y) | (m != 1)).all():
             raise DataError("non-finite value at an observed cell")
         if len(self.peptide_ids) != p or len(self.sample_ids) != n:
             raise DataError("label counts do not match matrix shape")

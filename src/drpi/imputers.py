@@ -81,12 +81,16 @@ def _column_means(d: Dataset, train=None) -> np.ndarray:
     """Observed mean of each column on the ``train`` rows (None: all, warned), or 0."""
     rows = slice(None) if train is None else train
     mask = d.mask[rows]
-    counts = mask.sum(axis=0)
     sums = np.where(mask == 1, d.y_obs[rows], 0.0).sum(axis=0)
-    means = np.zeros(d.p)
+    return _means(sums, mask.sum(axis=0), warn=train is None)
+
+
+def _means(sums, counts, warn) -> np.ndarray:
+    """sums / counts per column, 0 where a column has no observed cell (warned if ``warn``)."""
+    means = np.zeros(len(sums))
     nz = counts > 0
     means[nz] = sums[nz] / counts[nz]
-    if train is None and (~nz).any():
+    if warn and (~nz).any():
         warnings.warn(f"{(~nz).sum()} all-missing column(s) imputed as zero")
     return means
 
@@ -301,7 +305,8 @@ def impute_knn(d: Dataset, cfg: ImputerConfig = None) -> ImputedMatrix:
     nbr_t = np.ascontiguousarray(nbr.T, dtype=float)
     wts = obs @ nbr_t
     vals = yz @ nbr_t + obs @ shift.T
-    nu = np.where(wts > 0, vals / np.maximum(wts, 1.0), _column_means(d))
+    fallback = _means(yz.sum(axis=0), obs.sum(axis=0), warn=True)
+    nu = np.where(wts > 0, vals / np.maximum(wts, 1.0), fallback)
 
     backend = "knn2" if cfg.backend == "knn2" else "knn"
     if backend == "knn2":

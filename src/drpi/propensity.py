@@ -174,7 +174,7 @@ def fit_logistic_columns(
     n, q = w.shape
     if c.ndim != 2 or c.shape[0] != n:
         raise DataError(f"response shape {c.shape} does not match {n} covariate rows")
-    if not np.isin(c, (0.0, 1.0)).all():
+    if not ((c == 0.0) | (c == 1.0)).all():
         raise DataError("response entries must be 0 or 1")
     p = c.shape[1]
     separated = c.min(axis=0) == c.max(axis=0)

@@ -3,7 +3,9 @@
 Four generative scenarios are supported: Gaussian MCAR without/with an
 extra uniform covariate (models 1-2) and Gaussian/skewed MAR (models 3-4).
 Noise across columns is correlated through an AR(1) covariance by default,
-or any SPD matrix loaded from CSV.
+drawn by its recursion in O(np) time and memory, or through any SPD matrix
+loaded from CSV, which costs a (p, p) Cholesky factor and an (n, p) @ (p, p)
+product per repetition.
 """
 from __future__ import annotations
 
@@ -71,11 +73,6 @@ class SimTruth:
     beta_a: float
 
 
-def ar1_cov(p: int, rho: float) -> np.ndarray:
-    idx = np.arange(p)
-    return (rho ** idx)[np.abs(idx[:, None] - idx[None, :])]
-
-
 def load_cov_csv(path) -> np.ndarray:
     """Square matrix from a headerless CSV; blank lines are skipped."""
     first, rest = _read_csv(path)
@@ -94,10 +91,27 @@ def _cholesky_spd(cov: np.ndarray) -> np.ndarray:
         raise DataError("covariance not SPD after jitter") from None
 
 
-def _draw_noise(n, p, chol, skewed, rng):
-    """Correlated Gaussian rows from the covariance's Cholesky factor ``chol``;
-    optionally skewed by shift-log-recenter."""
-    eps = rng.standard_normal((n, p)) @ chol.T
+def _ar1_rows(z: np.ndarray, rho: float) -> np.ndarray:
+    """``z @ L.T`` for L the Cholesky factor of the AR(1) correlation, by the
+    recursion eps[:, 0] = z[:, 0], eps[:, j] = rho eps[:, j-1] + sqrt(1-rho^2) z[:, j].
+
+    The loop runs over the contiguous rows of a (p, n) copy, and the result
+    is returned C-contiguous like ``z``.
+    """
+    eps = np.array(z.T, order="C")
+    eps[1:] *= np.sqrt(1.0 - rho * rho)
+    carry = np.empty(eps.shape[1])
+    for j in range(1, eps.shape[0]):
+        eps[j] += np.multiply(eps[j - 1], rho, out=carry)
+    return np.ascontiguousarray(eps.T)
+
+
+def _draw_noise(n, p, chol, rho, skewed, rng):
+    """Correlated Gaussian rows: AR(1) with parameter ``rho`` when ``chol`` is
+    None, else through the covariance's Cholesky factor ``chol``; optionally
+    skewed by shift-log-recenter."""
+    z = rng.standard_normal((n, p))
+    eps = _ar1_rows(z, rho) if chol is None else z @ chol.T
     if skewed:
         eps = eps - eps.min(axis=0) + 0.1  # per-column minimum is +0.1
         eps = np.log(eps)
@@ -115,9 +129,12 @@ def mar_missing_prob(x: np.ndarray) -> np.ndarray:
     return e / (2.0 * (1.0 + e))
 
 
-def _noise_factor(cfg: SimConfig) -> np.ndarray:
-    """Cholesky factor of the configured noise covariance."""
-    cov = load_cov_csv(cfg.cov_csv) if cfg.cov_csv else ar1_cov(cfg.p, cfg.noise_rho)
+def _noise_factor(cfg: SimConfig):
+    """Cholesky factor of the ``cov_csv`` covariance, or None for AR(1) noise,
+    which needs none."""
+    if not cfg.cov_csv:
+        return None
+    cov = load_cov_csv(cfg.cov_csv)
     if cov.shape[0] != cfg.p:
         raise DataError(f"covariance is {cov.shape[0]}x{cov.shape[0]}, need p={cfg.p}")
     return _cholesky_spd(cov)
@@ -126,8 +143,10 @@ def _noise_factor(cfg: SimConfig) -> np.ndarray:
 def gen_dataset(cfg: SimConfig, rep: int = 0, chol: np.ndarray = None):
     """One repetition's (Dataset, SimTruth) under the configured scenario.
 
-    ``chol`` is the noise covariance's Cholesky factor, so that every
-    repetition of a run draws from one factorization; factored here if None.
+    AR(1) noise is drawn by its recursion in O(np).  For a ``cov_csv``
+    covariance, ``chol`` is its Cholesky factor, so that every repetition of
+    a run draws from one factorization; factored here if None.  A ``chol``
+    given for an AR(1) config is used in place of the recursion.
     """
     if chol is None:
         chol = _noise_factor(cfg)
@@ -142,7 +161,7 @@ def gen_dataset(cfg: SimConfig, rep: int = 0, chol: np.ndarray = None):
     s[signal] = 1.0
     c_sig = cfg.effective_signal()
 
-    eps = _draw_noise(n, p, chol, cfg.model == 4, rng)
+    eps = _draw_noise(n, p, chol, cfg.noise_rho, cfg.model == 4, rng)
 
     y = c_sig * np.outer(a, s) + eps
     if cfg.model != 1:
@@ -246,10 +265,10 @@ def run_benchmark(
     """Generate, analyze, and score every repetition.
 
     Each repetition owns a seed substream derived from (seed, rep), so the
-    result is identical for any thread count.  The noise covariance is
-    factored once and shared read-only.  A covariance that cannot be used
-    and a shape the imputer cannot fit are refused before any repetition
-    runs; a repetition that raises DataError or NumericalError is recorded
+    result is identical for any thread count.  A ``cov_csv`` covariance is
+    factored once and shared read-only; AR(1) noise needs no factor.  A
+    covariance that cannot be used and a shape the imputer cannot fit are
+    refused before any repetition runs; a repetition that raises DataError or NumericalError is recorded
     in ``failed_reps``, with threads as without.
     """
     if threads < 0:

@@ -304,6 +304,26 @@ def test_duplicate_labels_refused(labels, message):
         make_dataset(rng.normal(size=(8, 4)), np.ones((8, 4), dtype=np.int8), w, **labels)
 
 
+@pytest.mark.parametrize("bad,value", [
+    ("mask", np.nan), ("mask", 2), ("mask", -1), ("y", np.nan),
+], ids=["nan_in_mask", "two_in_mask", "minus_one_in_mask", "nan_at_observed_cell"])
+def test_dataset_refuses_bad_mask_and_non_finite_observed_cells(bad, value):
+    y, mask = np.arange(10.0).reshape(5, 2), np.ones((5, 2))
+    (mask if bad == "mask" else y)[2, 1] = value
+    w = np.column_stack([np.ones(5), np.arange(5.0)])
+    want = "mask entries must be 0 or 1" if bad == "mask" else "non-finite value at an observed cell"
+    with pytest.raises(DataError, match=want):
+        Dataset(y, mask, w, ("a", "b"), tuple("01234"), ("intercept", "x"))
+
+
+def test_dataset_accepts_bool_mask_and_nan_at_missing_cell():
+    y, mask = np.arange(10.0).reshape(5, 2), np.ones((5, 2), dtype=bool)
+    y[2, 1], mask[2, 1] = np.nan, False
+    w = np.column_stack([np.ones(5), np.arange(5.0)])
+    d = Dataset(y, mask, w, ("a", "b"), tuple("01234"), ("intercept", "x"))
+    assert d.mask.dtype == np.int8 and d.mask.sum() == 9
+
+
 def test_dataset_immutable():
     d = make_dataset(
         np.ones((5, 2)), np.ones((5, 2), dtype=np.int8),

@@ -122,6 +122,15 @@ def test_predict_rejects_a_covariate_count_mismatch():
     assert fits.predict(w[0]).shape == (1, 3)
 
 
+@pytest.mark.parametrize("cell", [np.nan, 2.0, -1.0, 0.5])
+def test_batched_fit_refuses_responses_other_than_zero_or_one(cell):
+    w = np.column_stack([np.ones(20), np.arange(20.0)])
+    c = np.ones((20, 3))
+    c[4, 1] = cell
+    with pytest.raises(DataError, match="response entries must be 0 or 1"):
+        fit_logistic_columns(c, w)
+
+
 def test_predict_saturates_at_one():
     fit = fit_logistic(
         np.array([0.0, 1.0, 1.0, 0.0]), np.column_stack([np.ones(4), np.arange(4.0)])

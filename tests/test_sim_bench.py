@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,6 @@ from drpi.errors import DataError, NumericalError
 from drpi.imputers import ImputerConfig
 from drpi.sim_bench import (
     SimConfig,
-    ar1_cov,
     fdr_tpr,
     gen_dataset,
     load_cov_csv,
@@ -23,9 +23,32 @@ from drpi.sim_bench import (
 # ------------------------------------------------------------- generators
 
 
+def ar1_cov(p: int, rho: float) -> np.ndarray:
+    idx = np.arange(p)
+    return (rho ** idx)[np.abs(idx[:, None] - idx[None, :])]
+
+
+def ar1_cholesky(p: int, rho: float) -> np.ndarray:
+    """Closed-form Cholesky factor of ``ar1_cov(p, rho)``: L[i, 0] = rho^i and
+    L[i, j] = rho^(i-j) sqrt(1 - rho^2) for 0 < j <= i."""
+    idx = np.arange(p)
+    lag = idx[:, None] - idx[None, :]
+    low = np.tril(rho ** np.maximum(lag, 0))
+    low[:, 1:] *= np.sqrt(1.0 - rho * rho)
+    return low
+
+
 def gen_noise(n, p, cov, skewed=False, rng=None):
-    """n correlated noise rows with covariance ``cov``, as gen_dataset draws them."""
-    return sim_bench._draw_noise(n, p, sim_bench._cholesky_spd(cov), skewed, rng)
+    """n correlated noise rows with covariance ``cov``, as gen_dataset draws
+    them from a ``cov_csv`` covariance."""
+    return sim_bench._draw_noise(n, p, sim_bench._cholesky_spd(cov), None, skewed, rng)
+
+
+def write_cov_csv(path, cov):
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in cov:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    return path
 
 
 def test_ar1_cov_entries():
@@ -40,6 +63,68 @@ def test_ar1_cov_gathers_the_powers_bitwise():
     for rho in (0.5, -0.7, 0.93):
         want = rho ** np.abs(idx[:, None] - idx[None, :])
         np.testing.assert_array_equal(ar1_cov(50, rho), want)
+
+
+@pytest.mark.parametrize("rho", [-0.9, 0.0, 0.5, 0.95])
+def test_ar1_noise_is_the_closed_form_cholesky_product(rho):
+    """The recursion draws z @ L.T for the unjittered AR(1) factor L, from
+    the same standard-normal draw, and hands back a C-contiguous array."""
+    n, p = 40, 120
+    low = ar1_cholesky(p, rho)
+    np.testing.assert_allclose(low @ low.T, ar1_cov(p, rho), atol=1e-12)
+    z = np.random.default_rng(3).standard_normal((n, p))
+    eps = sim_bench._draw_noise(n, p, None, rho, False, np.random.default_rng(3))
+    np.testing.assert_allclose(eps, z @ low.T, rtol=0, atol=1e-12)
+    assert eps.flags.c_contiguous
+
+
+@pytest.mark.parametrize("model", [1, 2, 3, 4])
+def test_gen_dataset_moves_only_the_noise_from_the_dense_draw(model):
+    """Against the jittered Cholesky draw AR(1) noise used to take, the
+    recursion leaves the random stream in place: mask, a, x and the signal
+    set are bitwise equal, and y_full moves by the jitter's effect alone."""
+    cfg = SimConfig(model=model, n=120, p=200, seed=9)
+    dense = sim_bench._cholesky_spd(ar1_cov(cfg.p, cfg.noise_rho))
+    for rep in (0, 1):
+        d, truth = gen_dataset(cfg, rep)
+        d_ref, ref = gen_dataset(cfg, rep, chol=dense)
+        np.testing.assert_array_equal(d.mask, d_ref.mask)
+        np.testing.assert_array_equal(truth.a, ref.a)
+        np.testing.assert_array_equal(truth.x, ref.x)
+        np.testing.assert_array_equal(truth.signal_set, ref.signal_set)
+        np.testing.assert_allclose(truth.y_full, ref.y_full, rtol=0, atol=1e-6)
+        assert truth.y_full.flags.c_contiguous and d.y_obs.flags.c_contiguous
+
+
+@pytest.mark.parametrize("threads", [0, 3])
+def test_ar1_noise_is_never_factored(threads, monkeypatch):
+    def refuse(cov):
+        raise AssertionError("an AR(1) config factored a covariance")
+
+    monkeypatch.setattr(sim_bench, "_cholesky_spd", refuse)
+    cfg = SimConfig(model=4, n=60, p=30, seed=5, reps=3)
+    gen_dataset(cfg, rep=1)
+    inf = InferenceConfig(target="a", imputer=ImputerConfig(backend="lowdim"))
+    res = run_benchmark(cfg, (MethodKind.DR_UW,), inf_cfg=inf, threads=threads)
+    assert res.failed_reps == []
+
+
+def test_wide_gen_dataset_memory_is_linear_in_p():
+    """At 200 x 4000 a (p, p) covariance alone would be 128 MB; the AR(1)
+    draw holds a few (n, p) arrays (6.4 MB each)."""
+    cfg = SimConfig(model=3, n=200, p=4000, seed=1)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        gen_dataset(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_noise_empirical_correlation():
@@ -124,10 +209,7 @@ def test_gen_dataset_deterministic_per_rep():
 
 def test_cov_csv_round_trip(tmp_path):
     cov = ar1_cov(3, 0.4)
-    path = tmp_path / "cov.csv"
-    with open(path, "w") as fh:
-        for row in cov:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    path = write_cov_csv(tmp_path / "cov.csv", cov)
     np.testing.assert_allclose(load_cov_csv(path), cov)
     bad = tmp_path / "bad.csv"
     bad.write_text("1,2,3\n4,5,6\n")
@@ -201,13 +283,14 @@ def test_benchmark_thread_identical(tmp_path):
 
 
 @pytest.mark.parametrize("threads", [0, 3])
-def test_benchmark_factors_the_noise_covariance_once(threads, monkeypatch):
-    """run_benchmark factors the covariance once and shares it across
+def test_benchmark_factors_the_noise_covariance_once(threads, monkeypatch, tmp_path):
+    """run_benchmark factors a cov_csv covariance once and shares it across
     repetitions, with results bitwise equal to a fresh gen_dataset per rep."""
     calls = []
     factor = sim_bench._cholesky_spd
     monkeypatch.setattr(sim_bench, "_cholesky_spd", lambda cov: calls.append(1) or factor(cov))
-    cfg = SimConfig(model=4, n=60, p=30, seed=5, reps=3)
+    path = write_cov_csv(tmp_path / "cov.csv", ar1_cov(30, 0.5))
+    cfg = SimConfig(model=4, n=60, p=30, seed=5, reps=3, cov_csv=str(path))
     inf = InferenceConfig(target="a", imputer=ImputerConfig(backend="knn"))
     methods = (MethodKind.COMPLETE, MethodKind.DR_UW)
     res = run_benchmark(cfg, methods, inf_cfg=inf, threads=threads)
