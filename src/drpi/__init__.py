@@ -20,6 +20,7 @@ from .dr_inference import (
     PseudoOutcome,
     infer_all,
     infer_columns,
+    infer_methods,
     ols_sandwich,
     pseudo_outcomes,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "impute_soft",
     "infer_all",
     "infer_columns",
+    "infer_methods",
     "load_dataset",
     "load_external_nu",
     "mirror_rate",

@@ -108,19 +108,38 @@ def pseudo_outcomes(y, c, delta_hat, nu_hat) -> PseudoOutcome:
     """y_tilde = nu + (c / delta) * (y - nu); masked y never enters y_tilde.
 
     Arguments broadcast, so one call builds the (n, p) matrix of a method.
+    Raises DataError for a delta outside (0, 1], NaN included, and for a
+    non-finite observed y or nu.
     """
     c = np.asarray(c, dtype=float)
     delta_hat = np.asarray(delta_hat, dtype=float)
     nu_hat = np.asarray(nu_hat, dtype=float)
-    if (delta_hat <= 0).any() or (delta_hat > 1).any():
+    if not ((delta_hat > 0) & (delta_hat <= 1)).all():  # NaN fails both
         raise DataError("delta_hat entries must lie in (0, 1]")
     weights = c / delta_hat
-    with np.errstate(over="ignore", invalid="ignore"):  # masked cells are dropped
-        resid = np.where(c == 1, y - nu_hat, 0.0)
+    observed = c == 1
+    resid = _residuals(np.where(observed, y, 0.0), observed, nu_hat)
+    return PseudoOutcome(y_tilde=_augmented(nu_hat, weights, resid), weights_used=weights)
+
+
+def _residuals(y0, obs, nu_hat):
+    """(y - nu) * obs for a 0/1 ``obs``, from ``y0``: y with every cell off
+    obs set to 0, so a masked y is never read.  Refuses a non-finite
+    residual, hence a non-finite nu anywhere."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        resid = y0 - nu_hat
+        resid *= obs
     if not np.isfinite(resid).all():
         raise DataError("non-finite observed outcome or nu_hat")
-    y_tilde = nu_hat + weights * resid
-    return PseudoOutcome(y_tilde=y_tilde, weights_used=weights)
+    return resid
+
+
+def _augmented(nu_hat, weights, resid, out=None):
+    """nu + weights * resid, written to ``out`` if given.  ``out``, or
+    weights * resid, spans nu's shape, as residuals from ``_residuals`` do."""
+    out = np.multiply(weights, resid, out=out)
+    out += nu_hat
+    return out
 
 
 def _ols_columns(w, y, variance_mode, obs=None):
@@ -131,8 +150,8 @@ def _ols_columns(w, y, variance_mode, obs=None):
     covariance.  Homoskedastic: s^2 (W'W)^-1 with s^2 = r'r / (rows - q).
     With ``obs`` both sums run over each column's observed rows only.
 
-    Returns (coef (p, q), cov (p, q, q), residuals (n, p), df (p,),
-    singular (p,)).
+    Returns (coef (p, q), cov (p, q, q), df (p,), singular (p,)).  One
+    (n, p) array is made: the residuals, masked and squared in place.
     """
     w = np.asarray(w, dtype=float)
     n, q = w.shape
@@ -141,20 +160,22 @@ def _ols_columns(w, y, variance_mode, obs=None):
     if variance_mode not in VARIANCE_MODES[1:]:
         raise DataError(f"unknown variance mode {variance_mode!r}")
     coef, gram_inv, singular = _masked_least_squares(w, y, obs)
-    resid = y - w @ coef.T
+    resid = w @ coef.T
+    np.subtract(y, resid, out=resid)
     if obs is None:
         rows = np.full(y.shape[1], n)
     else:
-        resid = np.where(obs == 1, resid, 0.0)
+        resid *= obs  # y is 0 off obs, so the residual there is finite
         rows = obs.sum(axis=0)
+    sq = np.square(resid, out=resid)
     if variance_mode == "sandwich":
-        meat = ((resid**2).T @ _outer_rows(w)).reshape(-1, q, q)
+        meat = (sq.T @ _outer_rows(w)).reshape(-1, q, q)
         cov = gram_inv @ meat @ gram_inv
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
-            sigma2 = (resid**2).sum(axis=0) / (rows - q)
+            sigma2 = sq.sum(axis=0) / (rows - q)
         cov = sigma2[:, None, None] * gram_inv
-    return coef, cov, resid, rows - q, singular
+    return coef, cov, rows - q, singular
 
 
 def ols_sandwich(
@@ -162,10 +183,11 @@ def ols_sandwich(
 ) -> OlsFit:
     """Least squares of one response with the plug-in sandwich or the
     homoskedastic covariance (see ``_ols_columns``)."""
-    y_tilde = np.asarray(y_tilde, dtype=float)
-    coef, cov, resid, _, singular = _ols_columns(w, y_tilde[:, None], variance_mode)
+    y = np.asarray(y_tilde, dtype=float)[:, None]
+    coef, cov, _, singular = _ols_columns(w, y, variance_mode)
     if singular[0]:
         raise NumericalError("singular W'W in least squares")
+    resid = y - np.asarray(w, dtype=float) @ coef.T
     return OlsFit(
         beta=coef[0], cov=cov[0], residuals=resid[:, 0], variance_mode=variance_mode
     )
@@ -213,15 +235,16 @@ def _records(peptide_ids, method, est: ColumnInference):
     return results, skips
 
 
-def _nuisances(d, methods, cfg, nu_hat=None, prop=None, train=None, at=None):
-    """({method: its fitted nu or None}, propensity or None) for ``methods``.
+def _nuisances(d, specs, cfg, nu_hat=None, prop=None, train=None, at=None):
+    """({nu source: its fit}, propensity or None) for the ``_METHODS`` rows
+    ``specs``.
 
-    Each imputer that one of them needs is fitted once on the ``train`` rows,
-    predicting at the ``at`` rows (see ``impute``), and the propensity once if
-    one of them fits delta.  A passed ``nu_hat`` (the nu of every method that
-    imputes) or ``prop`` is used as given, never refit.
+    Each imputer that one of them needs ("imputer" or "lowdim") is fitted
+    once on the ``train`` rows, predicting at the ``at`` rows (see
+    ``impute``), and the propensity once if one of them fits delta.  A
+    passed ``nu_hat`` (the nu of every method that imputes) or ``prop`` is
+    used as given, never refit.
     """
-    specs = [_METHODS[m] for m in methods]
     sources = {"imputer": cfg.imputer, "lowdim": ImputerConfig(backend="lowdim")}
     fits = {
         source: nu_hat or imputers.impute(d, imputer, train, at)
@@ -232,7 +255,7 @@ def _nuisances(d, methods, cfg, nu_hat=None, prop=None, train=None, at=None):
         prop = propensity.fit_logistic_columns(
             d.mask[sub], d.w[sub], cfg.prop_tol, cfg.prop_max_iter, cfg.prop_clip
         )
-    return {m: fits.get(spec.nu) for m, spec in zip(methods, specs)}, prop
+    return fits, prop
 
 
 def _at_rows(full, rows, part):
@@ -243,6 +266,126 @@ def _at_rows(full, rows, part):
         full = np.empty((rows.size, part.shape[1]))
     full[rows] = part
     return full
+
+
+def infer_methods(
+    d: Dataset,
+    methods,
+    cfg: InferenceConfig,
+    nu_hat: ImputedMatrix = None,
+    prop: PropensityColumns = None,
+    oracle: np.ndarray = None,
+    folds: int = 0,
+) -> dict:
+    """Apply the estimators ``methods`` to all columns at once:
+    {method: ColumnInference}, in the order given.
+
+    The nuisances the methods need are fitted once and shared.  Each
+    method's pseudo-outcomes are one block of a stacked response, and each
+    fit group (W with the homoskedastic variance, W with the sandwich, the
+    complete-case fit on each column's observed rows) is one batched
+    least-squares fit with one p-value pass.  Every block is fitted and
+    tested exactly as it would be alone, so the result of each method is
+    bitwise that of ``infer_columns`` on it.
+
+    ``nu_hat`` is the nu of every method that imputes (see ``_METHODS``;
+    full and complete-case ignore it).  Missing nuisances (nu from the
+    configured imputer or lowdim, delta from a batched logistic fit of the
+    mask) are fitted on every row, or with ``folds`` = K (DR methods,
+    row-predictive imputers) cross-fitted: each row's nu and delta come from
+    fits on the other K - 1 folds.  Skipped are all-missing columns, columns
+    too sparse on a fold's training rows, complete-case fits with too few
+    rows or a singular design and DR fits of a column whose propensity IRLS
+    diverged.
+    """
+    specs = {m: _METHODS[m] for m in methods}
+    if any(spec.nu == "oracle" for spec in specs.values()) and (
+        oracle is None or not np.isfinite(oracle).all()
+    ):
+        raise DataError("method 'full' requires a finite oracle complete matrix")
+    given = {"nu_hat": nu_hat and nu_hat.nu_hat, "prop": prop and prop.delta_hat}
+    for name, a in {**given, "oracle": oracle}.items():
+        if a is not None and np.shape(a) != (d.n, d.p):
+            raise DataError(f"{name} has shape {np.shape(a)}, expected ({d.n}, {d.p})")
+    row_sets = [(None, None)]  # (train, test) rows of each nuisance fit; None is every row
+    if folds:  # K folds dealt round-robin from a fixed permutation of the rows
+        if any(a is not None for a in given.values()):
+            raise DataError("cross-fitting fits its own nuisances; pass none with folds")
+        if not all(spec.fitted_delta for spec in specs.values()):
+            raise DataError("cross-fitting applies to the DR estimators only")
+        if folds < 2:
+            raise DataError("need at least 2 folds")
+        if d.n // folds <= d.q:
+            raise DataError(f"fold size {d.n // folds} too small for q={d.q}")
+        fold_of = np.empty(d.n, dtype=int)
+        fold_of[np.random.default_rng(0).permutation(d.n)] = np.arange(d.n) % folds
+        row_sets = [(fold_of != k, fold_of == k) for k in range(folds)]
+
+    nus = {"oracle": oracle, "zero": 0.0}  # nu source -> its (n, p) nu
+    delta = None
+    diverged = np.zeros(d.p, dtype=bool)
+    few = {}  # nu source -> (p,) too few observed training rows
+    for train, test in row_sets:
+        fits, prop_k = _nuisances(d, specs.values(), cfg, nu_hat, prop, train, test)
+        for source, fit in fits.items():
+            nus[source] = _at_rows(nus.get(source), test, fit.nu_hat)
+            few[source] = few.get(source, False) | fit.diagnostics.get("too_few", False)
+        if prop_k is not None:
+            delta_k = prop_k.delta_hat if test is None else prop_k.predict(d.w[test])
+            delta = _at_rows(delta, test, delta_k)
+            diverged = diverged | prop_k.diverged
+    if diverged.any():  # NaN there; the DR methods skip those columns
+        delta = np.where(diverged, 1.0, delta)
+
+    groups = {}  # (complete-case, variance mode) -> its methods, in order
+    for m, spec in specs.items():
+        key = (spec.nu == "zero", cfg.variance_mode or spec.variance)
+        groups.setdefault(key, []).append(m)
+    c = d.mask  # C; a 0/1 factor or dividend gives the same floats as its float copy
+    y0 = np.where(c == 1, d.y_obs, 0.0)
+    resid = {}  # nu source -> its masked residuals, shared by the masked methods
+    tcol = d.covariate_index(cfg.target)
+    all_missing = ~d.mask.any(axis=0)
+    results = {}
+    for (complete, variance_mode), group in groups.items():
+        blocks = [slice(k * d.p, (k + 1) * d.p) for k in range(len(group))]
+        response = np.empty((d.n, len(group) * d.p))
+        for m, block in zip(group, blocks):  # no block's temporaries outlive it
+            spec = specs[m]
+            if not spec.masked:  # C = 0: the response is nu
+                _augmented(nus[spec.nu], 0.0, 0.0, out=response[:, block])
+                continue
+            if spec.nu not in resid:
+                resid[spec.nu] = _residuals(y0, c, nus[spec.nu])
+            _augmented(
+                nus[spec.nu], c / delta if spec.fitted_delta else c,  # C/1 is C
+                resid[spec.nu], out=response[:, block],
+            )
+        obs = d.mask if complete else None  # complete-case is alone in its group
+        coef, cov, df, singular = _ols_columns(d.w, response, variance_mode, obs)
+        beta = coef[:, tcol]
+        se = np.sqrt(np.maximum(cov[:, tcol, tcol], 0.0))
+        z, p_value, degenerate = _p_values(beta, se, variance_mode, df)
+
+        for m, block in zip(group, blocks):
+            spec = specs[m]
+            reasons = np.full(d.p, "", dtype=object)
+            reasons[few.get(spec.nu, False)] = "too few observed training rows"
+            if spec.fitted_delta:
+                reasons[diverged] = "propensity IRLS diverged"
+            if complete:
+                rows = d.mask.sum(axis=0)
+                reasons[singular[block]] = "singular complete-case design"
+                short = rows < d.q + 2
+                reasons[short] = [f"complete-case rows {r} < q+2" for r in rows[short]]
+            if spec.nu != "oracle":  # the oracle has every cell
+                reasons[all_missing] = "all entries missing"
+            skipped = reasons != ""
+            results[m] = ColumnInference(
+                *(np.where(skipped, np.nan, a[block]) for a in (beta, se, z, p_value)),
+                degenerate[block] & ~skipped, reasons,
+            )
+    return {m: results[m] for m in specs}
 
 
 def infer_columns(
@@ -257,75 +400,10 @@ def infer_columns(
     """Apply one estimator to all columns at once: the method's
     pseudo-outcomes, then one batched least-squares fit.
 
-    ``nu_hat`` is the method's own nu (see ``_METHODS``; full and
-    complete-case ignore it).  Missing nuisances (nu from the configured
-    imputer or lowdim, delta from a batched logistic fit of the mask) are
-    fitted on every row, or with ``folds`` = K (DR methods, row-predictive
-    imputers) cross-fitted: each row's nu and delta come from fits on the
-    other K - 1 folds.  Skipped are all-missing columns, columns too sparse
-    on a fold's training rows, complete-case fits with too few rows or a
-    singular design and DR fits of a column whose propensity IRLS diverged.
+    The one-method case of ``infer_methods``; ``nu_hat`` is the method's own
+    nu, and the nuisances, folds and skips are as described there.
     """
-    spec = _METHODS[method]
-    if spec.nu == "oracle" and (oracle is None or not np.isfinite(oracle).all()):
-        raise DataError("method 'full' requires a finite oracle complete matrix")
-    given = {"nu_hat": nu_hat and nu_hat.nu_hat, "prop": prop and prop.delta_hat}
-    for name, a in {**given, "oracle": oracle}.items():
-        if a is not None and np.shape(a) != (d.n, d.p):
-            raise DataError(f"{name} has shape {np.shape(a)}, expected ({d.n}, {d.p})")
-    row_sets = [(None, None)]  # (train, test) rows of each nuisance fit; None is every row
-    if folds:  # K folds dealt round-robin from a fixed permutation of the rows
-        if any(a is not None for a in given.values()):
-            raise DataError("cross-fitting fits its own nuisances; pass none with folds")
-        if not spec.fitted_delta:
-            raise DataError("cross-fitting applies to the DR estimators only")
-        if folds < 2:
-            raise DataError("need at least 2 folds")
-        if d.n // folds <= d.q:
-            raise DataError(f"fold size {d.n // folds} too small for q={d.q}")
-        fold_of = np.empty(d.n, dtype=int)
-        fold_of[np.random.default_rng(0).permutation(d.n)] = np.arange(d.n) % folds
-        row_sets = [(fold_of != k, fold_of == k) for k in range(folds)]
-
-    nu = {"oracle": oracle, "zero": 0.0}.get(spec.nu)
-    delta = None if spec.fitted_delta else 1.0
-    few = diverged = np.zeros(d.p, dtype=bool)
-    for train, test in row_sets:
-        nus, prop_k = _nuisances(d, (method,), cfg, nu_hat, prop, train, test)
-        if nus[method] is not None:
-            nu = _at_rows(nu, test, nus[method].nu_hat)
-            few = few | nus[method].diagnostics.get("too_few", False)
-        if spec.fitted_delta:
-            delta_k = prop_k.delta_hat if test is None else prop_k.predict(d.w[test])
-            delta = _at_rows(delta, test, delta_k)
-            diverged = diverged | prop_k.diverged
-    reasons = np.full(d.p, "", dtype=object)
-    reasons[few] = "too few observed training rows"
-    reasons[diverged] = "propensity IRLS diverged"
-    bad = reasons != ""
-    if bad.any():  # their nu and delta columns must still be finite
-        nu, delta = np.where(bad, 0.0, nu), np.where(bad, 1.0, delta)
-
-    c = d.mask if spec.masked else 0.0
-    response = pseudo_outcomes(d.y_obs, c, delta, nu).y_tilde
-    obs = d.mask if spec.nu == "zero" else None
-    variance_mode = cfg.variance_mode or spec.variance
-    coef, cov, _, df, singular = _ols_columns(d.w, response, variance_mode, obs)
-    tcol = d.covariate_index(cfg.target)
-    beta = coef[:, tcol]
-    se = np.sqrt(np.maximum(cov[:, tcol, tcol], 0.0))
-    z, p_value, degenerate = _p_values(beta, se, variance_mode, df)
-
-    if obs is not None:
-        rows = d.mask.sum(axis=0)
-        reasons[singular] = "singular complete-case design"
-        short = rows < d.q + 2
-        reasons[short] = [f"complete-case rows {r} < q+2" for r in rows[short]]
-    if spec.nu != "oracle":  # the oracle has every cell
-        reasons[~d.mask.any(axis=0)] = "all entries missing"
-    skipped = reasons != ""
-    beta, se, z, p_value = (np.where(skipped, np.nan, a) for a in (beta, se, z, p_value))
-    return ColumnInference(beta, se, z, p_value, degenerate & ~skipped, reasons)
+    return infer_methods(d, (method,), cfg, nu_hat, prop, oracle, folds)[method]
 
 
 def infer_all(

@@ -229,13 +229,22 @@ def impute_soft(d: Dataset, cfg: ImputerConfig = None) -> ImputedMatrix:
     )
 
 
+def _counting(a):
+    """The 0/1 matrix ``a`` as float32 while it has fewer than 2**24 rows and
+    columns, else float64.  A product's sums then run over at most 2**24 - 1
+    ones, so every partial sum is an integer float32 holds exactly: the
+    result equals float64's bit for bit, at about twice the speed."""
+    return a.astype(np.float32 if max(a.shape) < 2**24 else float)
+
+
 def _pairwise_stats(obs, yz):
     """Co-observed counts, pairwise means, and correlations between columns,
     from the 0/1 observation matrix and the outcomes zeroed where missing.
 
     Built in place, so at most five (p, p) float arrays are live at once.
     """
-    counts = obs.T @ obs  # co-observed counts
+    ones = _counting(obs)
+    counts = ones.T @ ones  # co-observed counts
     mean_a = yz.T @ obs  # sum of col a over rows co-observed with col b
     cov = yz.T @ yz
     var_a = (yz**2).T @ obs
@@ -303,7 +312,7 @@ def impute_knn(d: Dataset, cfg: ImputerConfig = None) -> ImputedMatrix:
     # one C-ordered float copy for both products: at small p, BLAS takes
     # other kernels for a transposed operand, which round differently
     nbr_t = np.ascontiguousarray(nbr.T, dtype=float)
-    wts = obs @ nbr_t
+    wts = _counting(obs) @ _counting(nbr_t)
     vals = yz @ nbr_t + obs @ shift.T
     fallback = _means(yz.sum(axis=0), obs.sum(axis=0), warn=True)
     nu = np.where(wts > 0, vals / np.maximum(wts, 1.0), fallback)

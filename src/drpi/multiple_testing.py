@@ -74,7 +74,9 @@ class SelectionResult:
 
 
 def adjust(inferences, alpha: float) -> SelectionResult:
-    """Attach BH q-values and selection flags to PeptideInference records."""
+    """Attach BH q-values and selection flags to PeptideInference records
+    (any iterable of them; it is read once)."""
+    inferences = list(inferences)
     p = np.array([r.p_value for r in inferences])
     q = bh_qvalues(p)
     sel = select(q, alpha)

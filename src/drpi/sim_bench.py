@@ -239,13 +239,10 @@ class BenchResult:
 
 def _run_rep(cfg: SimConfig, rep: int, methods, inf_cfg: InferenceConfig, chol=None):
     d, truth = gen_dataset(cfg, rep, chol)
-    nus, prop = dr_inference._nuisances(d, methods, inf_cfg)
+    ests = dr_inference.infer_methods(d, methods, inf_cfg, oracle=truth.y_full)
 
     out = {}
-    for m in methods:
-        est = dr_inference.infer_columns(
-            d, m, inf_cfg, nu_hat=nus[m], prop=prop, oracle=truth.y_full
-        )
+    for m, est in ests.items():
         cols = np.flatnonzero(est.kept)
         q = multiple_testing.bh_qvalues(est.p_value[cols])
         per_cut = {}

@@ -479,6 +479,22 @@ def test_knn_on_tied_similarities_matches_reference_loop(backend):
         np.testing.assert_allclose(got, ref.knn(d, k, backend), rtol=0, atol=1e-12)
 
 
+def test_counting_products_are_exact_in_float32():
+    """knn's 0/1 products (co-observed counts, neighbour weights) run in
+    float32 and equal float64's bit for bit; from 2**24 rows or columns the
+    operands stay float64."""
+    d = gen_dataset(SimConfig(model=3, n=200, p=300, seed=1))[0]
+    obs = d.mask.astype(float)
+    nbr_t = (np.random.default_rng(0).random((300, 300)) < 0.05).astype(float)
+    ones = imputers._counting(obs)
+    assert ones.dtype == np.float32
+    np.testing.assert_array_equal(ones.T @ ones, obs.T @ obs)
+    np.testing.assert_array_equal(ones @ imputers._counting(nbr_t), obs @ nbr_t)
+    assert imputers._counting(np.zeros((2**24 - 1, 0))).dtype == np.float32
+    assert imputers._counting(np.zeros((2**24, 0))).dtype == np.float64
+    assert imputers._counting(np.zeros((0, 2**24))).dtype == np.float64
+
+
 def test_knn2_backend_selects_the_sample_pass():
     d = gen_dataset(SimConfig(model=3, n=60, p=20, seed=2))[0]
     cfg = ImputerConfig(backend="knn2")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from drpi import propensity
 from drpi.data_model import MethodKind, SkipRecord
 from drpi.dr_inference import (
     _METHODS,
@@ -12,6 +13,7 @@ from drpi.dr_inference import (
     _p_values,
     infer_all,
     infer_columns,
+    infer_methods,
     ols_sandwich,
     pseudo_outcomes,
 )
@@ -47,6 +49,11 @@ def test_pseudo_outcome_never_reads_masked_y():
     assert po.y_tilde[1] == 0.0
 
 
+def test_pseudo_outcome_refuses_non_finite_nu_at_a_masked_cell():
+    with pytest.raises(DataError, match="non-finite observed outcome or nu_hat"):
+        pseudo_outcomes([1.0, np.nan], [1, 0], 0.5, [0.0, np.inf])
+
+
 def test_pseudo_outcome_unbiased_given_truth():
     """E[y_tilde | y] = y when delta is the true propensity."""
     rng = np.random.default_rng(0)
@@ -67,6 +74,13 @@ def test_pseudo_outcome_rejects_bad_delta():
         pseudo_outcomes(y, c, np.array([0.0]), nu)
     with pytest.raises(DataError):
         pseudo_outcomes(y, c, np.array([1.5]), nu)
+
+
+def test_pseudo_outcome_rejects_nan_delta():
+    """NaN compares false with both bounds, so it must fail the range check
+    instead of passing it."""
+    with pytest.raises(DataError, match=r"delta_hat entries must lie in \(0, 1\]"):
+        pseudo_outcomes([1.0, 2.0, 3.0], [1, 1, 0], [np.nan, 0.5, 0.5], 0.0)
 
 
 # ------------------------------------------------------ OLS + sandwich
@@ -438,3 +452,97 @@ def test_dr_consistent_with_wrong_delta_hat():
     fit = ols_sandwich(po.y_tilde, w, "sandwich")
     se = np.sqrt(fit.cov[1, 1])
     assert abs(fit.beta[1] - beta_true) < 4 * se
+
+
+# ------------------------------------------------------ every method in one pass
+
+
+_FIELDS = ("beta", "se", "z", "p_value", "degenerate", "skip_reason")
+
+
+def _assert_same_columns(got, want):
+    for name in _FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)  # NaN equals NaN
+
+
+@pytest.mark.parametrize("variance_mode", VARIANCE_MODES)
+@pytest.mark.parametrize("model", [1, 2, 3, 4])
+def test_infer_methods_is_one_call_per_method_bitwise(model, variance_mode):
+    """The stacked fit of all six methods gives each exactly what a call of
+    ``infer_columns`` for that method alone gives, with the method's default
+    variance or the configured one."""
+    d, truth = gen_dataset(SimConfig(model=model, n=80, p=25, seed=model))
+    cfg = InferenceConfig(
+        target="a", variance_mode=variance_mode, imputer=ImputerConfig(backend="knn", k_neighbors=5)
+    )
+    methods = tuple(MethodKind)
+    together = infer_methods(d, methods, cfg, oracle=truth.y_full)
+    assert list(together) == list(methods)
+    for m in methods:
+        _assert_same_columns(together[m], infer_columns(d, m, cfg, oracle=truth.y_full))
+
+
+def _dataset_with_every_skip():
+    """Column 2 is observed exactly where x > 1/2 on a 1e-4 scale, so its
+    propensity IRLS diverges; column 4 is observed only where a == 1, so its
+    complete-case design is singular; column 5 is never observed."""
+    rng = np.random.default_rng(0)
+    n, p = 120, 7
+    a = rng.integers(0, 2, size=n).astype(float)
+    x = rng.uniform(size=n)
+    w = np.column_stack([np.ones(n), a, 1e-4 * x])
+    y = np.outer(a, np.linspace(0, 1, p)) + rng.normal(size=(n, p))
+    mask = (rng.random((n, p)) < 0.7).astype(np.int8)
+    mask[:, 2] = x > 0.5
+    mask[:, 4] = a == 1
+    mask[:, 5] = 0
+    return make_dataset(y, mask, w, covariate_names=("intercept", "a", "x")), y
+
+
+@pytest.mark.parametrize("backend", ["lowdim", "knn"])
+def test_infer_methods_keeps_each_skip_in_its_own_block(backend):
+    """A column one method skips is skipped by that method only: no skip
+    reason, NaN or stand-in value leaks into another method's block."""
+    d, y = _dataset_with_every_skip()
+    cfg = InferenceConfig(target="a", imputer=ImputerConfig(backend=backend, k_neighbors=3))
+    methods = tuple(MethodKind)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the all-missing column is imputed as zero
+        together = infer_methods(d, methods, cfg, oracle=y)
+        alone = {m: infer_columns(d, m, cfg, oracle=y) for m in methods}
+    for m in methods:
+        _assert_same_columns(together[m], alone[m])
+    reasons = {m: together[m].skip_reason.tolist() for m in methods}
+    missing = "all entries missing"
+    assert reasons[MethodKind.FULL] == [""] * 7
+    assert reasons[MethodKind.COMPLETE][4:6] == ["singular complete-case design", missing]
+    for m in (MethodKind.PLUGIN, MethodKind.PLUGIN_MISSING):
+        assert reasons[m] == ["", "", "", "", "", missing, ""]
+    for m in (MethodKind.DR_W, MethodKind.DR_UW):
+        assert reasons[m][2] == "propensity IRLS diverged"
+        assert reasons[m][5] == missing
+    for m in methods:
+        kept = together[m].kept
+        assert np.isfinite(together[m].beta[kept]).all()
+        assert np.isnan(together[m].beta[~kept]).all()
+
+
+def test_infer_methods_cross_fits_every_dr_method_in_one_fold_loop(monkeypatch):
+    """With folds, both DR methods share one propensity fit per fold and
+    equal their one-method cross-fits bitwise."""
+    d = _mar_dataset(np.random.default_rng(7))
+    cfg = InferenceConfig(target="a", imputer=ImputerConfig(backend="lowdim"))
+    methods = (MethodKind.DR_W, MethodKind.DR_UW)
+    alone = {m: infer_columns(d, m, cfg, folds=4) for m in methods}
+    calls = []
+    fit = propensity.fit_logistic_columns
+    monkeypatch.setattr(propensity, "fit_logistic_columns",
+                        lambda *a: calls.append("propensity") or fit(*a))
+    together = infer_methods(d, methods, cfg, folds=4)
+    assert calls == ["propensity"] * 4
+    for m in methods:
+        _assert_same_columns(together[m], alone[m])
+    with pytest.raises(DataError, match="DR estimators only"):
+        infer_methods(d, (MethodKind.DR_UW, MethodKind.PLUGIN), cfg, folds=4)

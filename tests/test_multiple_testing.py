@@ -95,6 +95,21 @@ def test_adjust_mutates_records_and_orders_by_input():
     assert out.mirror_rate == pytest.approx(1.0)
 
 
+def test_adjust_reads_an_iterator_once():
+    """Records handed over as a one-pass iterator get the same q-values,
+    selection and mirror rate as the list."""
+    recs = [
+        PeptideInference("p0", MethodKind.DR_UW, 1.0, 0.1, 10.0, 0.01),
+        PeptideInference("p1", MethodKind.DR_UW, -1.0, 0.1, -10.0, 0.02),
+        PeptideInference("p2", MethodKind.DR_UW, 0.1, 0.1, 1.0, 0.9),
+    ]
+    out = adjust(iter(recs), alpha=0.05)
+    assert [r.q_value for r in recs] == pytest.approx([0.03, 0.03, 0.9])
+    assert [r.selected for r in recs] == [True, True, False]
+    assert out.selected.tolist() == [0, 1]
+    assert out.mirror_rate == pytest.approx(1.0)
+
+
 def test_adjust_empty():
     out = adjust([], alpha=0.05)
     assert out.n_selected == 0

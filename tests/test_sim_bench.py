@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from drpi import imputers, propensity, sim_bench
+from drpi import dr_inference, imputers, propensity, sim_bench
 from drpi.data_model import MethodKind
 from drpi.dr_inference import InferenceConfig
 from drpi.errors import DataError, NumericalError
@@ -317,6 +317,20 @@ def test_one_repetition_fits_each_nuisance_once(monkeypatch):
     res = run_benchmark(cfg, tuple(MethodKind), inf_cfg=inf)
     assert res.failed_reps == []
     assert calls == ["knn", "lowdim", "propensity"]
+
+
+def test_one_repetition_fits_all_six_methods_in_three_least_squares_passes(monkeypatch):
+    """The six estimators form three fit groups (W with the homoskedastic
+    variance, W with the sandwich, complete-case), each one batched fit."""
+    shapes = []
+    ols = dr_inference._ols_columns
+    monkeypatch.setattr(dr_inference, "_ols_columns",
+                        lambda w, y, *a: shapes.append(y.shape) or ols(w, y, *a))
+    cfg = SimConfig(model=3, n=60, p=20, seed=1, reps=1)
+    inf = InferenceConfig(target="a", imputer=ImputerConfig(backend="knn", k_neighbors=5))
+    res = run_benchmark(cfg, tuple(MethodKind), inf_cfg=inf)
+    assert res.failed_reps == []
+    assert sorted(shapes) == [(60, 20), (60, 40), (60, 60)]
 
 
 def test_failed_reps_recorded_for_any_thread_count(monkeypatch):
