@@ -11,7 +11,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from itertools import chain, islice
 from typing import Sequence
 
 import numpy as np
@@ -99,10 +99,15 @@ class Dataset:
             raise DataError(f"need n > q, got n={n}, q={q}")
         if np.linalg.matrix_rank(w) < q:
             raise DataError("covariate matrix is rank deficient")
-        if not (np.isfinite(y) | (m != 1)).all():
-            raise DataError("non-finite value at an observed cell")
         if len(self.peptide_ids) != p or len(self.sample_ids) != n:
             raise DataError("label counts do not match matrix shape")
+        bad = ~np.isfinite(y) & (m == 1)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise DataError(
+                f"non-finite value at an observed cell: row {i}, "
+                f"peptide {self.peptide_ids[j]!r}"
+            )
         if len(self.covariate_names) != q:
             raise DataError("covariate name count does not match q")
         for what, names in (("peptide id", self.peptide_ids), ("covariate", self.covariate_names)):
@@ -161,48 +166,41 @@ class Dataset:
         )
 
 
-def _split_rows(lines):
-    """``csv.reader``'s rows of ``lines``, a text file opened with
-    ``newline=""``.
+# at most this many cells are held as Python strings at once; a file of up
+# to this size is parsed in one block
+_BLOCK_CELLS = 2**15
+
+
+def _csv_rows(path):
+    """``csv.reader``'s rows of the UTF-8 CSV file ``path``, one at a time;
+    a leading byte-order mark is not part of the first row.
 
     A line without a quote is split with ``str.split``, which gives the
     same row at a fraction of the cost. From the first line with a quote
     on, ``csv.reader`` reads the rest, so the file is read once even
     when it is a pipe.
     """
-    lines = iter(lines)
-    rows = []
-    for line in lines:
-        if '"' in line:
-            # csv.reader keeps no state across an unquoted line end
-            rows.extend(csv.reader(chain([line], lines)))
-            break
-        line = line.rstrip("\r\n")
-        rows.append(line.split(",") if line else [])
-    return rows
-
-
-def _read_csv(path) -> tuple:
-    """(header, body rows) of a UTF-8 CSV file, as ``csv.reader`` reads
-    them; a leading byte-order mark is not part of the header."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = _split_rows(fh)
+            for line in fh:
+                if '"' in line:
+                    # csv.reader keeps no state across an unquoted line end
+                    yield from csv.reader(chain([line], fh))
+                    return
+                line = line.rstrip("\r\n")
+                yield line.split(",") if line else []
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"{path}: {exc}") from None
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    return rows[0], rows[1:]
 
 
-def _parse_cells(rows, names, what: str, missing=()) -> tuple:
-    """(values, observed) of CSV body ``rows`` under header ``names``: the
-    (n, len(names)) floats of the stripped cells, NaN wherever a cell
-    equals one of the ``missing`` tokens, and the boolean mask of the
-    other cells.
+def _parse_block(rows, names, what: str, missing, start: int) -> tuple:
+    """(values, observed) of the CSV body ``rows`` under header ``names``,
+    flat: the floats of the stripped cells, NaN wherever a cell equals one
+    of the ``missing`` tokens, and the boolean mask of the other cells.
 
     The first fault in row order is raised, a non-numeric cell or a row of
-    the wrong length, as a DataError that names ``what``.
+    the wrong length, as a DataError that names ``what`` and counts rows
+    from ``start``.
     """
     n, p = len(rows), len(names)
     ragged = next((i for i, row in enumerate(rows) if len(row) != p), n)
@@ -222,24 +220,83 @@ def _parse_cells(rows, names, what: str, missing=()) -> tuple:
                 float(cells[k])
             except ValueError:
                 raise DataError(
-                    f"non-numeric {what} cell at row {k // p}, column "
+                    f"non-numeric {what} cell at row {start + k // p}, column "
                     f"{names[k % p]!r}: {cells[k]!r}"
                 ) from None
     if ragged < n:
-        raise DataError(f"{what} row {ragged} has {len(rows[ragged])} cells, expected {p}")
-    return values.reshape(n, p), observed.reshape(n, p)
+        raise DataError(
+            f"{what} row {start + ragged} has {len(rows[ragged])} cells, expected {p}"
+        )
+    return values, observed
+
+
+@dataclass(frozen=True)
+class _Table:
+    """A parsed CSV: its header (column indexes if it has none), its body
+    row count, and either its (n, p) values and observed mask or the first
+    cell fault, which ``parsed`` raises."""
+
+    names: Sequence
+    n: int
+    values: np.ndarray = None
+    observed: np.ndarray = None
+    fault: DataError = None
+
+    def parsed(self) -> tuple:
+        if self.fault is not None:
+            raise self.fault
+        return self.values, self.observed
+
+
+def _read_table(path, what: str, missing=(), header: bool = True) -> _Table:
+    """The CSV file ``path`` as a ``_Table``, read in one pass.
+
+    Each block of at most ``_BLOCK_CELLS`` cells (one row if a row is
+    wider) is converted to floats before the next is read, so no more
+    than a block of cells is ever held as strings. A cell fault is kept,
+    not raised, and the rest of the file is still read: the caller checks
+    the file's shape before it asks for the values. Without a ``header``
+    the columns are named by index and blank lines are skipped.
+    """
+    rows = _csv_rows(path)
+    names = next(rows, None)
+    if names is None:
+        raise DataError(f"{path}: empty file")
+    if not header:
+        rows = filter(None, chain([names], rows))
+        first = next(rows, [])
+        rows = chain([first], rows) if first else rows
+        names = range(len(first))
+    step = max(1, _BLOCK_CELLS // max(len(names), 1))
+    # an empty first block, so that a file without body rows concatenates
+    n, fault, values, observed = 0, None, [np.empty(0)], [np.empty(0, bool)]
+    for block in iter(lambda: list(islice(rows, step)), []):
+        if fault is None:
+            try:
+                v, o = _parse_block(block, names, what, missing, n)
+                values.append(v)
+                observed.append(o)
+            except DataError as exc:
+                fault = exc
+        n += len(block)
+    if fault is not None:
+        return _Table(names, n, fault=fault)
+    shape = (n, len(names))
+    return _Table(
+        names, n, np.concatenate(values).reshape(shape), np.concatenate(observed).reshape(shape)
+    )
 
 
 def _read_matrix(path, ids, n: int, what: str) -> np.ndarray:
     """(n, len(ids)) float array from a CSV whose header must be ``ids``."""
-    header, rows = _read_csv(path)
+    table = _read_table(path, what)
     p = len(ids)
-    if len(header) != p or len(rows) != n:
-        raise DataError(f"{what} is {len(rows)}x{len(header)}, expected {n}x{p}")
-    for got, want in zip(header, ids):
+    if len(table.names) != p or table.n != n:
+        raise DataError(f"{what} is {table.n}x{len(table.names)}, expected {n}x{p}")
+    for got, want in zip(table.names, ids):
         if got != want:
             raise DataError(f"{what} header has {got!r} where {want!r} is expected")
-    return _parse_cells(rows, ids, what)[0]
+    return table.parsed()[0]
 
 
 def _write_rows(path, header, rows):
@@ -274,21 +331,21 @@ def load_dataset(
     CSV of 0/1 entries, with the outcome CSV's header, overrides token
     detection.
     """
-    pep_ids, y_rows = _read_csv(outcome_path)
-    cov_names, w_rows = _read_csv(covariate_path)
-    if len(y_rows) != len(w_rows):
+    y_table = _read_table(outcome_path, "outcome", {"", missing_token})
+    w_table = _read_table(covariate_path, "covariate")
+    if y_table.n != w_table.n:
         raise DataError(
-            f"row count mismatch: {len(y_rows)} outcome rows vs "
-            f"{len(w_rows)} covariate rows"
+            f"row count mismatch: {y_table.n} outcome rows vs "
+            f"{w_table.n} covariate rows"
         )
-    n = len(y_rows)
-    y, observed = _parse_cells(y_rows, pep_ids, "outcome", {"", missing_token})
+    n, pep_ids, cov_names = y_table.n, y_table.names, w_table.names
+    y, observed = y_table.parsed()
     mask = observed.astype(np.int8)
     if mask_path is not None:
         mask = _read_matrix(mask_path, pep_ids, n, "mask CSV")
         y[mask == 0] = np.nan
 
-    w = _parse_cells(w_rows, cov_names, "covariate")[0]
+    w = w_table.parsed()[0]
     names = list(cov_names)
     if add_intercept:
         w = np.column_stack([np.ones(n), w])

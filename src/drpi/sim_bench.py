@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import dr_inference, imputers, multiple_testing
-from .data_model import Dataset, MethodKind, _parse_cells, _read_csv, _write_csv
+from .data_model import Dataset, MethodKind, _read_table, _write_csv
 from .dr_inference import InferenceConfig
 from .errors import DataError, NumericalError
 
@@ -75,9 +75,7 @@ class SimTruth:
 
 def load_cov_csv(path) -> np.ndarray:
     """Square matrix from a headerless CSV; blank lines are skipped."""
-    first, rest = _read_csv(path)
-    rows = [row for row in [first, *rest] if row]
-    m = _parse_cells(rows, range(len(rows[0]) if rows else 0), "covariance CSV")[0]
+    m = _read_table(path, "covariance CSV", header=False).parsed()[0]
     if m.size == 0 or m.shape[0] != m.shape[1]:
         raise DataError("covariance CSV must be square")
     return m

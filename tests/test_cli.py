@@ -114,6 +114,18 @@ def test_bad_input_csv_exits_2(bad, csv_pair, tmp_path, capsys):
     assert "drpi: data error:" in capsys.readouterr().err
 
 
+def test_mask_marking_an_empty_cell_observed_names_the_cell(csv_pair, tmp_path, capsys):
+    with open(csv_pair[0], newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    i, j = next((i, j) for i, row in enumerate(rows) for j, cell in enumerate(row) if not cell)
+    path = tmp_path / "m.csv"
+    _write_csv(path, PEP_IDS, [[1] * 8 for _ in range(40)])
+    assert _analyze_with(csv_pair, tmp_path, "--mask", path) == 2
+    assert capsys.readouterr().err == (
+        f"drpi: data error: non-finite value at an observed cell: row {i}, peptide 'pep{j}'\n"
+    )
+
+
 @pytest.mark.parametrize("flag", ["--mask", "--external-nu"])
 def test_reordered_header_rejected(flag, csv_pair, tmp_path, capsys):
     """A mask or external-nu file of the right shape whose columns are in

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drpi import data_model
 from drpi.data_model import (
     Dataset,
     MethodKind,
     PeptideInference,
-    _parse_cells,
-    _read_csv,
+    _csv_rows,
+    _read_table,
     filter_by_rate,
     load_dataset,
     observation_rate,
@@ -118,7 +119,7 @@ def _read_fault(tmp_path, kind, body):
     return str(exc.value)
 
 
-@pytest.mark.parametrize("kind,body,message", [
+CSV_FAULTS = [
     ("covariate", "x\n0\nz\n2\n", "non-numeric covariate cell at row 1, column 'x': 'z'"),
     ("covariate", "x\n0\n1,3\n2\n", "covariate row 1 has 2 cells, expected 1"),
     ("mask", "a,b\n1,1\n1,y\n1,1\n", "non-numeric mask CSV cell at row 1, column 'b': 'y'"),
@@ -128,9 +129,75 @@ def _read_fault(tmp_path, kind, body):
     ("external", "a,b\n1,1\n1,1\n1,1,1\n", "external matrix row 2 has 3 cells, expected 2"),
     ("covariance", "1,0\nq,1\n", "non-numeric covariance CSV cell at row 1, column 0: 'q'"),
     ("covariance", "1,0\n0\n", "covariance CSV row 1 has 1 cells, expected 2"),
-])
+]
+
+
+@pytest.mark.parametrize("kind,body,message", CSV_FAULTS)
 def test_csv_faults_share_one_format(tmp_path, kind, body, message):
     assert _read_fault(tmp_path, kind, body) == message
+
+
+# A reader bound of 1 cell reads every file one row at a time; 2 cells read
+# a 1-wide file two rows at a time and a 2-wide one a row at a time; 4
+# cells read a 2-wide file two rows at a time. Row numbers in messages
+# count across blocks.
+BLOCK_BOUNDS = [1, 2, 4]
+
+
+@pytest.mark.parametrize("block_cells", BLOCK_BOUNDS)
+@pytest.mark.parametrize("kind,body,message", CSV_FAULTS)
+def test_csv_faults_share_one_format_across_blocks(
+    monkeypatch, tmp_path, kind, body, message, block_cells
+):
+    monkeypatch.setattr(data_model, "_BLOCK_CELLS", block_cells)
+    assert _read_fault(tmp_path, kind, body) == message
+
+
+@pytest.mark.parametrize("block_cells", [1, 2**15])
+@pytest.mark.parametrize("faults,outcome,covariate,mask,message", [
+    ("outcome cell, row count", "a,b\n1,2\n3,x\n", "x\n0\n1\n2\n", None,
+     "row count mismatch: 2 outcome rows vs 3 covariate rows"),
+    ("covariate cell, row count", "a,b\n1,2\n3,4\n", "x\n0\nz\n2\n", None,
+     "row count mismatch: 2 outcome rows vs 3 covariate rows"),
+    ("outcome cell, covariate cell", "a,b\n1,2\n3,x\n5,6\n", "x\n0\nz\n2\n", None,
+     "non-numeric outcome cell at row 1, column 'b': 'x'"),
+    ("covariate cell, mask cell", "a,b\n1,2\n3,4\n5,6\n", "x\n0\nz\n2\n",
+     "a,b\n1,1\n1,y\n1,1\n", "non-numeric mask CSV cell at row 1, column 'b': 'y'"),
+    ("mask cell, mask rows", "a,b\n1,2\n3,4\n5,6\n", "x\n0\n1\n2\n",
+     "a,b\n1,y\n1,1\n", "mask CSV is 2x2, expected 3x2"),
+    ("mask cell, mask header", "a,b\n1,2\n3,4\n5,6\n", "x\n0\n1\n2\n",
+     "a,c\n1,y\n1,1\n1,1\n", "mask CSV header has 'c' where 'b' is expected"),
+])
+def test_two_csv_faults_reported_in_load_order(
+    monkeypatch, tmp_path, faults, outcome, covariate, mask, message, block_cells
+):
+    """A file pair with two faults reports the one the load reaches first:
+    both files' sizes, then the outcome cells, then the mask (its shape,
+    header, then cells), then the covariate cells, however the files are
+    split into blocks."""
+    monkeypatch.setattr(data_model, "_BLOCK_CELLS", block_cells)
+    paths = {}
+    for name, text in (("y", outcome), ("w", covariate), ("m", mask)):
+        if text is not None:
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text(text)
+    with pytest.raises(DataError) as exc:
+        load_dataset(paths["y"], paths["w"], mask_path=paths.get("m"))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("block_cells", [1, 2**15])
+def test_undecodable_bytes_after_a_bad_cell_are_reported_first(
+    monkeypatch, tmp_path, block_cells
+):
+    """The whole file is read before a cell fault is raised; the bad byte
+    lies past the first read of the file, after the bad cell's block."""
+    monkeypatch.setattr(data_model, "_BLOCK_CELLS", block_cells)
+    out, cov = tmp_path / "y.csv", tmp_path / "w.csv"
+    out.write_bytes(b"a,b\n1,x\n" + b"3,4\n" * 5000 + b"5,\xe9\n")
+    cov.write_text("x\n0\n1\n2\n")
+    with pytest.raises(DataError, match=r"y\.csv: .*can't decode byte 0xe9"):
+        load_dataset(out, cov)
 
 
 @pytest.mark.parametrize("cell", ["0.5", "2", "nan"])
@@ -310,10 +377,14 @@ def test_duplicate_labels_refused(labels, message):
 def test_dataset_refuses_bad_mask_and_non_finite_observed_cells(bad, value):
     y, mask = np.arange(10.0).reshape(5, 2), np.ones((5, 2))
     (mask if bad == "mask" else y)[2, 1] = value
+    if bad == "y":
+        y[3, 0] = np.inf  # a later cell in row order
     w = np.column_stack([np.ones(5), np.arange(5.0)])
     want = "mask entries must be 0 or 1" if bad == "mask" else "non-finite value at an observed cell"
-    with pytest.raises(DataError, match=want):
+    with pytest.raises(DataError, match=want) as exc:
         Dataset(y, mask, w, ("a", "b"), tuple("01234"), ("intercept", "x"))
+    if bad == "y":
+        assert str(exc.value) == "non-finite value at an observed cell: row 2, peptide 'b'"
 
 
 def test_dataset_accepts_bool_mask_and_nan_at_missing_cell():
@@ -364,28 +435,36 @@ READER_CASES = {
     "header_without_line_end": "a,b",
     "blank_first_line": "\na,b\n1,2\n",
     "empty": "",
+    "late_bad_cell": "a,b\n1,2\nNA,4\n5,\n7,x\n9,10\n",
+    "late_ragged_row": "a,b\n1,2\nNA,4\n5,\n7\n9,x\n",
+    "late_quote": 'a,b\n1,2\nNA,4\n"5",\n7,""\n9,10\n',
 }
 
 
-def _read_and_parse(read, parse, path, missing):
+def _table(path, missing):
+    table = _read_table(path, "outcome", missing)
+    return (table.names, *table.parsed())
+
+
+def _reference_table(path, missing):
+    header, rows = ref.read_csv(path)
+    return (header, *ref.parse_cells(rows, header, "outcome", missing))
+
+
+def _table_or_message(read, path, missing):
     try:
-        header, rows = read(path)
-        return (header, *parse(rows, header, "outcome", missing))
+        return read(path, missing)
     except DataError as exc:
         return str(exc)
 
 
-@pytest.mark.parametrize("token", ["", "NA", "-999", None])
-@pytest.mark.parametrize("case", sorted(READER_CASES))
-def test_reader_matches_reference_loop(tmp_path, case, token):
-    """None stands for a matrix without missing cells (covariates, mask,
-    external ν); a token adds itself to the empty cell as missing."""
+def _check_reader(tmp_path, case, token):
     path = tmp_path / "y.csv"
     path.write_bytes(READER_CASES[case].encode())
     missing = None if token is None else {"", token}
-    got = _read_and_parse(_read_csv, _parse_cells, path, () if missing is None else missing)
-    want = _read_and_parse(
-        ref.read_csv, ref.parse_cells, path, None if missing is None else missing.__contains__
+    got = _table_or_message(_table, path, () if missing is None else missing)
+    want = _table_or_message(
+        _reference_table, path, None if missing is None else missing.__contains__
     )
     if isinstance(want, str):
         assert got == want
@@ -394,6 +473,22 @@ def test_reader_matches_reference_loop(tmp_path, case, token):
     assert got[1].dtype == want[1].dtype and got[1].shape == want[1].shape
     assert np.array_equal(got[1].view(np.uint64), want[1].view(np.uint64))
     assert np.array_equal(got[2], want[2])
+
+
+@pytest.mark.parametrize("token", ["", "NA", "-999", None])
+@pytest.mark.parametrize("case", sorted(READER_CASES))
+def test_reader_matches_reference_loop(tmp_path, case, token):
+    """None stands for a matrix without missing cells (covariates, mask,
+    external ν); a token adds itself to the empty cell as missing."""
+    _check_reader(tmp_path, case, token)
+
+
+@pytest.mark.parametrize("block_cells", BLOCK_BOUNDS)
+@pytest.mark.parametrize("case", sorted(READER_CASES))
+def test_reader_matches_reference_loop_across_blocks(monkeypatch, tmp_path, case, block_cells):
+    monkeypatch.setattr(data_model, "_BLOCK_CELLS", block_cells)
+    for token in ["", "NA", "-999", None]:
+        _check_reader(tmp_path, case, token)
 
 
 def _results():
@@ -418,6 +513,12 @@ def test_write_results_matches_reference_loop(tmp_path, count):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+def _rows(path):
+    """(header, body rows) of ``path`` as the reader splits them."""
+    rows = list(_csv_rows(path))
+    return rows[0], rows[1:]
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
 def test_quoted_body_is_read_once_from_a_pipe():
     """A pipe, such as ``--outcomes <(zcat y.csv.gz)``, can be read only
@@ -427,7 +528,7 @@ def test_quoted_body_is_read_once_from_a_pipe():
     try:
         os.write(w, text.encode())
         os.close(w)
-        assert _read_csv(f"/dev/fd/{r}") == (["a", "b"], [["1", "2"], ["3", ""], ["4", "5"]])
+        assert _rows(f"/dev/fd/{r}") == (["a", "b"], [["1", "2"], ["3", ""], ["4", "5"]])
     finally:
         os.close(r)
 
@@ -436,14 +537,14 @@ def test_csv_error_names_the_file(tmp_path):
     path = tmp_path / "y.csv"
     path.write_text('"a"\n"' + "1" * 200_000 + '"\n')
     with pytest.raises(DataError, match=r"y\.csv: field larger than field limit"):
-        _read_csv(path)
+        _read_table(path, "outcome")
 
 
 def test_undecodable_file_is_a_data_error(tmp_path):
     path = tmp_path / "y.csv"
     path.write_bytes(b"a\n\xe9\n")
     with pytest.raises(DataError, match=r"y\.csv: .*can't decode byte 0xe9"):
-        _read_csv(path)
+        _read_table(path, "outcome")
 
 
 # csv.reader refuses NUL on Python 3.10; a BOM is dropped only at the start
@@ -459,9 +560,9 @@ def _reader_agrees_with_csv(tmp_path_factory, text):
     want = list(csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline="")))
     if not want:
         with pytest.raises(DataError, match="empty file"):
-            _read_csv(path)
+            _read_table(path, "outcome")
     else:
-        assert _read_csv(path) == (want[0], want[1:])
+        assert _rows(path) == (want[0], want[1:])
 
 
 @settings(max_examples=300, deadline=None)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from drpi import dr_inference, imputers, propensity, sim_bench
-from drpi.data_model import MethodKind
+from drpi.data_model import MethodKind, load_dataset, write_dataset
 from drpi.dr_inference import InferenceConfig
 from drpi.errors import DataError, NumericalError
 from drpi.imputers import ImputerConfig
@@ -109,22 +109,37 @@ def test_ar1_noise_is_never_factored(threads, monkeypatch):
     assert res.failed_reps == []
 
 
-def test_wide_gen_dataset_memory_is_linear_in_p():
-    """At 200 x 4000 a (p, p) covariance alone would be 128 MB; the AR(1)
-    draw holds a few (n, p) arrays (6.4 MB each)."""
-    cfg = SimConfig(model=3, n=200, p=4000, seed=1)
+def _traced_peak(fn, *args):
+    """Bytes allocated at the peak of ``fn(*args)`` above what was live
+    before the call."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        gen_dataset(cfg)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         if started:
             tracemalloc.stop()
-    assert peak < 64 * 2**20
+
+
+def test_wide_gen_dataset_memory_is_linear_in_p():
+    """At 200 x 4000 a (p, p) covariance alone would be 128 MB; the AR(1)
+    draw holds a few (n, p) arrays (6.4 MB each)."""
+    assert _traced_peak(gen_dataset, SimConfig(model=3, n=200, p=4000, seed=1)) < 64 * 2**20
+
+
+def test_wide_load_dataset_memory_is_bounded(tmp_path):
+    """A 200 x 4000 outcome CSV has 800k cells. Held as Python strings all
+    at once they would take about 45 MB; read a block of rows at a time,
+    the load holds little more than its (n, p) float arrays (6.4 MB each)."""
+    y, w = tmp_path / "y.csv", tmp_path / "w.csv"
+    write_dataset(gen_dataset(SimConfig(model=3, n=200, p=4000, seed=1))[0], y, w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # all-missing columns
+        assert _traced_peak(load_dataset, y, w) < 24 * 2**20
 
 
 def test_noise_empirical_correlation():
