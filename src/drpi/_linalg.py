@@ -70,7 +70,7 @@ def _normal_equations(w: np.ndarray, y: np.ndarray, obs=None):
     return coef, gram_inv, np.broadcast_to(singular, p)
 
 
-def _masked_least_squares(w: np.ndarray, y: np.ndarray, obs=None):
+def _masked_least_squares(w: np.ndarray, y: np.ndarray, obs=None, *, inverse=True):
     """Normal-equation least squares of every column of y (n, p) on w (n, q).
 
     With ``obs``, an (n, p) 0/1 matrix, column j is fit on its rows with
@@ -82,17 +82,23 @@ def _masked_least_squares(w: np.ndarray, y: np.ndarray, obs=None):
     rank).
 
     Returns (coef (p, q), gram_inv (p, q, q), or (1, q, q) without obs,
-    singular (p,)).
+    singular (p,)).  With ``inverse`` False, gram_inv is None: a fit that
+    reads coef alone does not map the inverses back.
     """
     if obs is not None:
         obs = np.asarray(obs, dtype=float)
     wc, a = _centred(w)
-    if a is None:
-        return _normal_equations(w, y, obs)
     coef, gram_inv, singular = _normal_equations(wc, y, obs)
+    gram_inv = gram_inv if inverse else None
+    if a is None:
+        return coef, gram_inv, singular
     coef = coef @ a.T  # w_centred = w a: beta = a beta_c, (W'W)^-1 = a G_c^-1 a'
-    gram_inv = a @ gram_inv @ a.T
+    if inverse:
+        gram_inv = a @ gram_inv @ a.T
     if obs is not None and singular.any():  # many solutions: keep w's own minimum-norm one
         cols = np.flatnonzero(singular)
-        coef[cols], gram_inv[cols], _ = _normal_equations(w, y[:, cols], obs[:, cols])
+        refit = _normal_equations(w, y[:, cols], obs[:, cols])
+        coef[cols] = refit[0]
+        if inverse:
+            gram_inv[cols] = refit[1]
     return coef, gram_inv, singular

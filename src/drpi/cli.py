@@ -263,13 +263,14 @@ def _cmd_analyze(args) -> int:
 
 
 def emit_volcano_data(results, path):
-    """CSV of (peptide_id, beta, -log10 q, selected); q=0 capped at 300."""
+    """CSV of (peptide_id, beta, -log10 q, selected); q=0 capped at 300,
+    and q=1 written as 0.0, not -0.0."""
     if not results:
         raise DataError("no results to export")
     rows = []
     for r in results:
         capped = r.q_value == 0.0
-        val = 300.0 if capped else -float(np.log10(r.q_value))
+        val = 300.0 if capped else -float(np.log10(r.q_value)) + 0.0
         rows.append([r.peptide_id, r.beta, val, int(r.selected), int(capped)])
     _write_csv(path, ["peptide_id", "beta", "neg_log10_q", "selected", "capped"], rows)
 

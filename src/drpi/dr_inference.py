@@ -241,8 +241,8 @@ def _nuisances(d, specs, cfg, nu_hat=None, prop=None, train=None, at=None):
 
     Each imputer that one of them needs ("imputer" or "lowdim") is fitted
     once on the ``train`` rows, predicting at the ``at`` rows (see
-    ``impute``), and the propensity once if one of them fits delta.  A
-    passed ``nu_hat`` (the nu of every method that imputes) or ``prop`` is
+    ``impute``), and the propensity likewise once if one of them fits delta.
+    A passed ``nu_hat`` (the nu of every method that imputes) or ``prop`` is
     used as given, never refit.
     """
     sources = {"imputer": cfg.imputer, "lowdim": ImputerConfig(backend="lowdim")}
@@ -253,7 +253,8 @@ def _nuisances(d, specs, cfg, nu_hat=None, prop=None, train=None, at=None):
     if prop is None and any(spec.fitted_delta for spec in specs):
         sub = slice(None) if train is None else train
         prop = propensity.fit_logistic_columns(
-            d.mask[sub], d.w[sub], cfg.prop_tol, cfg.prop_max_iter, cfg.prop_clip
+            d.mask[sub], d.w[sub], cfg.prop_tol, cfg.prop_max_iter, cfg.prop_clip,
+            at=None if at is None else d.w[at],
         )
     return fits, prop
 
@@ -331,8 +332,7 @@ def infer_methods(
             nus[source] = _at_rows(nus.get(source), test, fit.nu_hat)
             few[source] = few.get(source, False) | fit.diagnostics.get("too_few", False)
         if prop_k is not None:
-            delta_k = prop_k.delta_hat if test is None else prop_k.predict(d.w[test])
-            delta = _at_rows(delta, test, delta_k)
+            delta = _at_rows(delta, test, prop_k.delta_hat)
             diverged = diverged | prop_k.diverged
     if diverged.any():  # NaN there; the DR methods skip those columns
         delta = np.where(diverged, 1.0, delta)

@@ -108,7 +108,7 @@ def _row_fit(d: Dataset, backend: str, train=None, at=None):
     # a column copy even if every column fits: pinned full-sample outputs round in its F order
     y, obs = d.y_obs[rows][:, ~few], mask[:, ~few]
     y[obs == 0] = 0.0  # in place, keeping that order
-    coef = _masked_least_squares(d.w[rows], y, obs)[0]
+    coef = _masked_least_squares(d.w[rows], y, obs, inverse=False)[0]
     nu = np.empty((len(w_at), d.p))
     nu[:, ~few] = w_at @ coef.T
     if few.any():  # warns about all-missing columns, before the rest below

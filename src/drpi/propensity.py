@@ -106,12 +106,14 @@ class PropensityFit:
 class PropensityColumns:
     """Per-column logistic fits of an (n, p) observation matrix.
 
-    Columns whose IRLS diverged have ``diverged`` set, NaN coefficients and
-    NaN fitted probabilities.
+    ``delta_hat``, ``clipped_frac`` and ``min_delta`` describe the rows the
+    fit was evaluated at (``fit_logistic_columns``'s ``at``): its own n rows
+    unless given.  Columns whose IRLS diverged have ``diverged``
+    set, NaN coefficients and NaN fitted probabilities.
     """
 
     coef: np.ndarray  # (p, q)
-    delta_hat: np.ndarray  # (n, p), clipped to [clip_floor, 1]
+    delta_hat: np.ndarray  # (m, p) at the evaluated rows, clipped to [clip_floor, 1]
     clip_floor: float
     converged: np.ndarray  # (p,) bool
     iterations: np.ndarray  # (p,) int
@@ -129,10 +131,6 @@ class PropensityColumns:
     def min_delta(self) -> np.ndarray:
         """(p,) smallest delta_hat of each column; NaN where IRLS diverged."""
         return self.delta_hat.min(axis=0)
-
-    def predict(self, w_new: np.ndarray) -> np.ndarray:
-        """(m, p) clipped fitted probabilities at new covariate rows."""
-        return _propensity(w_new, self.coef, self.separated, self.constant_value, self.clip_floor)
 
     def column(self, j: int) -> PropensityFit:
         return PropensityFit(
@@ -152,6 +150,7 @@ def fit_logistic_columns(
     tol: float = 1e-8,
     max_iter: int = 100,
     clip_floor: float = 0.01,
+    at: np.ndarray = None,
 ) -> PropensityColumns:
     """Maximize the Bernoulli log-likelihood of each column of c given w.
 
@@ -168,17 +167,23 @@ def fit_logistic_columns(
     Every other column starts at its intercept-only fit when w has an
     intercept (the first column with the same nonzero value v on every row
     gets logit(rate)/v, the rest 0), and at zero otherwise.
+
+    ``delta_hat`` holds the fitted probabilities at the covariate rows
+    ``at`` (m, q), or at a single 1-D row; at the rows of w if None.  A
+    cross-fit fold fits on its training rows and evaluates only the rows
+    it predicts.
     """
-    c = np.asarray(c, dtype=float)
+    c = np.asarray(c)
     w = np.asarray(w, dtype=float)
     n, q = w.shape
     if c.ndim != 2 or c.shape[0] != n:
         raise DataError(f"response shape {c.shape} does not match {n} covariate rows")
-    if not ((c == 0.0) | (c == 1.0)).all():
+    ct = np.ascontiguousarray(c.T, dtype=float)  # (p, n): each column one contiguous row
+    if not ((ct == 0.0) | (ct == 1.0)).all():
         raise DataError("response entries must be 0 or 1")
-    p = c.shape[1]
-    separated = c.min(axis=0) == c.max(axis=0)
-    constant = c[0]
+    p = ct.shape[0]
+    separated = ct.min(axis=1) == ct.max(axis=1)
+    constant = ct[:, 0].copy()
     coef = np.zeros((p, q))
     converged = separated.copy()
     iterations = np.zeros(p, dtype=int)
@@ -187,9 +192,13 @@ def fit_logistic_columns(
     wt = np.ascontiguousarray(w.T)
     iu, ju = np.triu_indices(q)
     wwt = wt[iu] * wt[ju]  # (q(q+1)/2, n): the Hessian's unique entries
+    sym = np.empty((q, q), dtype=int)  # each Hessian entry's place among them
+    sym[iu, ju] = sym[ju, iu] = np.arange(iu.size)
+    sym = sym.ravel()
 
     cols = np.flatnonzero(~separated)  # the active columns and their state
-    ct = np.ascontiguousarray(c[:, cols].T)
+    if cols.size < p:
+        ct = ct[cols]
     beta = coef[cols]
     const = np.flatnonzero(_constant_columns(w))
     if const.size:
@@ -207,9 +216,7 @@ def fit_logistic_columns(
             break
         score = np.einsum("jn,kn->jk", ct - prob, wt)
         upper = np.einsum("jn,kn->jk", prob * (1.0 - prob), wwt)
-        hess = np.empty((cols.size, q, q))
-        hess[:, iu, ju] = upper
-        hess[:, ju, iu] = upper
+        hess = upper.take(sym, axis=1).reshape(cols.size, q, q)
         step = _solve_or_pinv(hess, score[:, :, None])[0][:, :, 0]
 
         ll_tol = tol * np.maximum(np.abs(ll), 1.0)
@@ -219,30 +226,36 @@ def fit_logistic_columns(
 
         # step-halving keeps each searched column's log-likelihood monotone
         search = np.flatnonzero(~(flat | small))
-        scale = np.ones(search.size)
-        cand = beta[search] + step[search]
-        prob_new, ll_new = _prob_loglik(ct[search], _eta(wt, cand))
-        pending = np.flatnonzero(ll_new < ll[search])
-        for _ in range(STEP_HALVINGS - 1):
-            if pending.size == 0:
-                break
-            rows = search[pending]
-            scale[pending] *= 0.5
-            cand[pending] = beta[rows] + scale[pending, None] * step[rows]
-            prob_new[pending], ll_new[pending] = _prob_loglik(ct[rows], _eta(wt, cand[pending]))
-            pending = pending[ll_new[pending] < ll[rows]]
+        every = search.size == cols.size  # then search is every active column, in order
+        cand = beta + step if every else beta[search] + step[search]
+        prob_new, ll_new = _prob_loglik(ct if every else ct[search], _eta(wt, cand))
+        pending = np.flatnonzero(ll_new < (ll if every else ll[search]))
         stuck = np.zeros(cols.size, dtype=bool)
-        stuck[search[pending]] = True  # no ascent direction left: at the optimum
-        accept = np.ones(search.size, dtype=bool)
-        accept[pending] = False
-        moved = search[accept]
-        beta[moved] = cand[accept]
+        moved = search
+        if pending.size:
+            scale = np.ones(search.size)
+            for _ in range(STEP_HALVINGS - 1):
+                rows = search[pending]
+                scale[pending] *= 0.5
+                cand[pending] = beta[rows] + scale[pending, None] * step[rows]
+                prob_new[pending], ll_new[pending] = _prob_loglik(ct[rows], _eta(wt, cand[pending]))
+                pending = pending[ll_new[pending] < ll[rows]]
+                if pending.size == 0:
+                    break
+            stuck[search[pending]] = True  # no ascent direction left: at the optimum
+            accept = np.ones(search.size, dtype=bool)
+            accept[pending] = False
+            moved, cand, ll_new = search[accept], cand[accept], ll_new[accept]
+        beta[moved] = cand
         stalled = np.zeros(cols.size, dtype=bool)
-        stalled[moved] = ll_new[accept] - ll[moved] <= ll_tol[moved]
-        ll[moved] = ll_new[accept]
+        stalled[moved] = ll_new - ll[moved] <= ll_tol[moved]
+        ll[moved] = ll_new
 
         blown = np.linalg.norm(beta, axis=1) > DIVERGENCE_NORM
         done = flat | small | stuck | stalled | blown
+        if not done.any():  # every column searched and moved
+            prob = prob_new
+            continue
         diverged[cols[blown]] = True
         converged[cols[done]] = ~blown[done]
         coef[cols[done]] = beta[done]
@@ -250,15 +263,14 @@ def fit_logistic_columns(
         keep = ~done
         left = keep[search]  # every column left moved: its probabilities are the candidate's
         prob = prob_new if left.all() else prob_new[left]
-        if done.any():
-            cols, ct, beta, ll = cols[keep], ct[keep], beta[keep], ll[keep]
+        cols, ct, beta, ll = cols[keep], ct[keep], beta[keep], ll[keep]
     coef[cols] = beta  # out of iterations, not converged
     iterations[cols] = max_iter
 
     coef[diverged] = np.nan
     return PropensityColumns(
         coef=coef,
-        delta_hat=_propensity(w, coef, separated, constant, clip_floor),
+        delta_hat=_propensity(w if at is None else at, coef, separated, constant, clip_floor),
         clip_floor=clip_floor,
         converged=converged,
         iterations=iterations,

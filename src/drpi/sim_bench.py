@@ -23,6 +23,14 @@ from .errors import DataError, NumericalError
 MAR_MISS_CAP = 0.5  # P(C=0) = e^x / (2(1+e^x)) stays below 1/2
 
 
+def _refuse_repeats(what, values):
+    """DataError naming the first value given twice: its results would be
+    scored twice, each repetition counted once per copy."""
+    for k, v in enumerate(values):
+        if v in values[:k]:
+            raise DataError(f"{what} {v!r} given more than once")
+
+
 @dataclass
 class SimConfig:
     model: int = 3
@@ -55,6 +63,7 @@ class SimConfig:
             raise DataError(f"reps must be >= 1, got {self.reps}")
         for cut in self.cutoffs:
             multiple_testing.check_alpha(cut)
+        _refuse_repeats("cutoff", self.cutoffs)
 
     def effective_signal(self) -> float:
         if np.isfinite(self.signal_c):
@@ -269,6 +278,7 @@ def run_benchmark(
     if threads < 0:
         raise DataError(f"threads must be >= 0, got {threads}")
     methods = tuple(methods)
+    _refuse_repeats("method", [m.value for m in methods])
     inf_cfg = inf_cfg or InferenceConfig(target="a")
     if any(dr_inference._METHODS[m].nu == "imputer" for m in methods):
         imputers.check_shape(inf_cfg.imputer.backend, inf_cfg.imputer, cfg.n, cfg.p)

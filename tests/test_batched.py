@@ -84,11 +84,12 @@ def test_batch_width_and_order_are_bitwise_at_any_row_count(n, crossfit_data):
     w_new = crossfit_data.w[n:]
     p = c.shape[1]
     full = fit_logistic_columns(c, w)
-    full_pred = full.predict(w_new)
+    full_pred = fit_logistic_columns(c, w, at=w_new).delta_hat
     for cols in ([7], [8, 7], list(range(p - 1, -1, -3)), list(range(1, p, 2))):
         part = fit_logistic_columns(c[:, cols], w)
         np.testing.assert_array_equal(part.delta_hat, full.delta_hat[:, cols])
-        np.testing.assert_array_equal(part.predict(w_new), full_pred[:, cols])
+        part_pred = fit_logistic_columns(c[:, cols], w, at=w_new).delta_hat
+        np.testing.assert_array_equal(part_pred, full_pred[:, cols])
         np.testing.assert_array_equal(part.coef, full.coef[cols])
         np.testing.assert_array_equal(part.iterations, full.iterations[cols])
         np.testing.assert_array_equal(part.converged, full.converged[cols])
@@ -518,6 +519,37 @@ def _one_diverging_column(rng, n=120, p=6):
     mask = (rng.random((n, p)) < 0.7).astype(np.int8)
     mask[:, 2] = x > 0.5
     return make_dataset(y, mask, w, covariate_names=("intercept", "a", "x"))
+
+
+def test_fold_fit_evaluates_held_out_rows_as_its_own_coefficients_do():
+    """``at=`` gives the held-out rows' delta_hat that the fold's own fit
+    gives through ``_propensity``, bit for bit, on uneven folds (n = 203,
+    K = 5), with a column whose IRLS diverges and a column constant on one
+    training fold; and ``at`` leaves the fit itself unchanged."""
+    d = _one_diverging_column(np.random.default_rng(0), n=203)
+    folds = 5
+    fold_of = np.empty(d.n, dtype=int)
+    fold_of[np.random.default_rng(0).permutation(d.n)] = np.arange(d.n) % folds
+    c = d.mask.copy()
+    c[:, 4] = fold_of != 0  # observed on every row but fold 0's
+    separated, diverged, rows = [], [], set()
+    for k in range(folds):
+        train, test = fold_of != k, fold_of == k
+        fit = fit_logistic_columns(c[train], d.w[train], at=d.w[test])
+        plain = fit_logistic_columns(c[train], d.w[train])
+        want = propensity._propensity(
+            d.w[test], fit.coef, fit.separated, fit.constant_value, fit.clip_floor
+        )
+        assert fit.delta_hat.shape == (test.sum(), d.p)
+        np.testing.assert_array_equal(fit.delta_hat, want)
+        for name in ("coef", "iterations", "converged", "separated", "constant_value", "diverged"):
+            np.testing.assert_array_equal(getattr(fit, name), getattr(plain, name))
+        separated.append(fit.separated[4])
+        diverged.append(fit.diverged[2])
+        rows.add(len(fit.delta_hat))
+    assert separated == [True, False, False, False, False]
+    assert all(diverged)
+    assert rows == {40, 41}
 
 
 def test_irls_divergence_skips_only_that_column(tmp_path):

@@ -243,6 +243,10 @@ def test_external_nu_without_external_imputer_exits_2(csv_pair, tmp_path, capsys
     (("simulate", "--n", "40", "--p", "20", "--imputer", "knn2", "--imputer-k", "20"),
      "k_neighbors"),
     (("simulate", "--n", "40", "--p", "5"), "max_rank exceeds min(n, p)"),
+    (("simulate", "--n", "40", "--p", "10", "--methods", "dr_w,dr_uw,dr_w"),
+     "method 'dr_w' given more than once"),
+    (("simulate", "--n", "40", "--p", "10", "--cutoffs", "0.05,0.1,0.05"),
+     "cutoff 0.05 given more than once"),
 ])
 def test_empty_or_out_of_range_run_exits_2(argv, field, tmp_path, capsys, monkeypatch):
     """No repetitions or a cutoff outside (0, 1) would write an all-NaN
@@ -251,7 +255,8 @@ def test_empty_or_out_of_range_run_exits_2(argv, field, tmp_path, capsys, monkey
     that does not parse, or a rho grid whose step is not positive, with a
     message that names it, and a shape that would fail every repetition:
     no columns, no more samples than covariates, or too few columns for
-    the imputer's neighbour count or rank cap."""
+    the imputer's neighbour count or rank cap.  A method or cutoff given
+    twice would score each repetition twice, so it is refused by name."""
     monkeypatch.setattr(sim_bench, "_run_rep", lambda *a: pytest.fail("a repetition ran"))
     out = tmp_path / "out.csv"
     assert run_cli(*argv, "--out", str(out), "--quiet") == 2
@@ -804,6 +809,7 @@ def test_volcano_values(tmp_path):
         rows = list(csv.DictReader(fh))
     assert float(rows[0]["neg_log10_q"]) == pytest.approx(-np.log10(0.05), abs=1e-12)
     assert float(rows[1]["neg_log10_q"]) == pytest.approx(0.0, abs=1e-12)
+    assert path.read_text().splitlines()[2] == "p1,-0.5,0.0,0,0"  # q = 1: no "-0.0"
     assert float(rows[2]["neg_log10_q"]) == 300.0
     assert rows[2]["capped"] == "1"
     assert rows[0]["selected"] == "1" and rows[1]["selected"] == "0"

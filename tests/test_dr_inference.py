@@ -529,6 +529,28 @@ def test_infer_methods_keeps_each_skip_in_its_own_block(backend):
         assert np.isnan(together[m].beta[~kept]).all()
 
 
+def test_cross_fit_evaluates_each_fold_propensity_at_its_held_out_rows_only(monkeypatch):
+    """Each fold's fitted probabilities are computed at the rows the fold
+    predicts and at no training row: one evaluation per fold, disjoint from
+    that fold's fit rows, together covering the n rows once each."""
+    d = _mar_dataset(np.random.default_rng(7), n=203)
+    cfg = InferenceConfig(target="a", imputer=ImputerConfig(backend="lowdim"))
+    fit_rows, evaluated = [], []
+    fit, kernel = propensity.fit_logistic_columns, propensity._propensity
+    monkeypatch.setattr(propensity, "fit_logistic_columns",
+                        lambda c, w, *a, **k: fit_rows.append(w) or fit(c, w, *a, **k))
+    monkeypatch.setattr(propensity, "_propensity",
+                        lambda w, *a: evaluated.append(np.atleast_2d(w)) or kernel(w, *a))
+    infer_methods(d, (MethodKind.DR_W, MethodKind.DR_UW), cfg, folds=5)
+    assert len(fit_rows) == len(evaluated) == 5
+    x = d.w[:, 2]  # continuous: it tells every row apart
+    for train, at in zip(fit_rows, evaluated):
+        assert len(train) + len(at) == d.n
+        assert not np.isin(at[:, 2], train[:, 2]).any()
+    assert sum(len(at) for at in evaluated) == d.n
+    np.testing.assert_array_equal(np.sort(np.concatenate(evaluated)[:, 2]), np.sort(x))
+
+
 def test_infer_methods_cross_fits_every_dr_method_in_one_fold_loop(monkeypatch):
     """With folds, both DR methods share one propensity fit per fold and
     equal their one-method cross-fits bitwise."""
@@ -539,7 +561,7 @@ def test_infer_methods_cross_fits_every_dr_method_in_one_fold_loop(monkeypatch):
     calls = []
     fit = propensity.fit_logistic_columns
     monkeypatch.setattr(propensity, "fit_logistic_columns",
-                        lambda *a: calls.append("propensity") or fit(*a))
+                        lambda *a, **k: calls.append("propensity") or fit(*a, **k))
     together = infer_methods(d, methods, cfg, folds=4)
     assert calls == ["propensity"] * 4
     for m in methods:

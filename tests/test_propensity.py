@@ -115,11 +115,12 @@ def test_predict_rejects_a_covariate_count_mismatch():
     rng = np.random.default_rng(6)
     w = np.column_stack([np.ones(20), rng.normal(size=20)])
     c = (rng.random((20, 3)) < 0.7).astype(float)
-    fits = fit_logistic_columns(c, w)
-    for fit in (fits, fits.column(0)):
-        with pytest.raises(DataError, match=r"covariate count 3 does not match fit \(2\)"):
-            fit.predict(np.ones((4, 3)))
-    assert fits.predict(w[0]).shape == (1, 3)
+    mismatch = r"covariate count 3 does not match fit \(2\)"
+    with pytest.raises(DataError, match=mismatch):
+        fit_logistic_columns(c, w, at=np.ones((4, 3)))
+    with pytest.raises(DataError, match=mismatch):
+        fit_logistic_columns(c, w).column(0).predict(np.ones((4, 3)))
+    assert fit_logistic_columns(c, w, at=w[0]).delta_hat.shape == (1, 3)
 
 
 @pytest.mark.parametrize("cell", [np.nan, 2.0, -1.0, 0.5])

@@ -326,7 +326,7 @@ def test_one_repetition_fits_each_nuisance_once(monkeypatch):
     monkeypatch.setattr(imputers, "impute",
                         lambda d, cfg, *a: calls.append(cfg.backend) or impute(d, cfg, *a))
     monkeypatch.setattr(propensity, "fit_logistic_columns",
-                        lambda *a: calls.append("propensity") or fit(*a))
+                        lambda *a, **k: calls.append("propensity") or fit(*a, **k))
     cfg = SimConfig(model=3, n=60, p=20, seed=1, reps=1)
     inf = InferenceConfig(target="a", imputer=ImputerConfig(backend="knn", k_neighbors=5))
     res = run_benchmark(cfg, tuple(MethodKind), inf_cfg=inf)
@@ -377,6 +377,17 @@ def test_unusable_covariance_refused_before_any_repetition(cov, reason, tmp_path
     monkeypatch.setattr(sim_bench, "_run_rep", lambda *a: pytest.fail("a repetition ran"))
     with pytest.raises(DataError, match=reason):
         run_benchmark(cfg, (MethodKind.DR_UW,), inf_cfg=inf, threads=2)
+
+
+def test_repeated_method_or_cutoff_refused_by_name(monkeypatch):
+    """A method or cutoff given twice would count each repetition twice in
+    its FDR, TPR and betas, so it is refused before any repetition runs."""
+    monkeypatch.setattr(sim_bench, "_run_rep", lambda *a: pytest.fail("a repetition ran"))
+    with pytest.raises(DataError, match="cutoff 0.05 given more than once"):
+        SimConfig(model=3, n=200, p=120, reps=5, seed=2, cutoffs=(0.05, 0.05))
+    cfg = SimConfig(model=3, n=200, p=120, reps=5, seed=2)
+    with pytest.raises(DataError, match="method 'dr_w' given more than once"):
+        run_benchmark(cfg, (MethodKind.DR_W, MethodKind.DR_W))
 
 
 @pytest.mark.parametrize("imputer,field", [
