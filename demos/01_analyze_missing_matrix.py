@@ -13,9 +13,10 @@ from drpi import (
     InferenceConfig,
     ImputerConfig,
     MethodKind,
-    adjust,
-    infer_all,
+    bh_qvalues,
+    infer_columns,
     load_dataset,
+    select,
     write_results,
 )
 
@@ -46,13 +47,15 @@ print(f"loaded {d.n} samples x {d.p} peptides, "
       f"{1 - d.mask.mean():.0%} cells missing")
 
 cfg = InferenceConfig(target="a", imputer=ImputerConfig(backend="soft"))
-results, skips = infer_all(d, MethodKind.DR_UW, cfg)
-selection = adjust(results, alpha=0.05)
+est = infer_columns(d, MethodKind.DR_UW, cfg)  # one array entry per column
+kept = est.kept.nonzero()[0]                     # the columns not skipped
+q = bh_qvalues(est.p_value[kept])                # BH across the kept columns
+selected = select(q, alpha=0.05)                 # indices into kept
 
-write_results(results, workdir / "results.csv")
-print(f"{len(results)} columns tested, {len(skips)} skipped")
-print(f"{selection.n_selected} discoveries at q <= 0.05:")
-for r in results:
-    if r.selected:
-        print(f"  {r.peptide_id}: beta={r.beta:+.3f}  q={r.q_value:.4f}")
+write_results(d.peptide_ids, MethodKind.DR_UW, est, q, selected, workdir / "results.csv")
+print(f"{kept.size} columns tested, {d.p - kept.size} skipped")
+print(f"{selected.size} discoveries at q <= 0.05:")
+for k in selected:
+    j = kept[k]
+    print(f"  {d.peptide_ids[j]}: beta={est.beta[j]:+.3f}  q={q[k]:.4f}")
 print("results written to", workdir / "results.csv")

@@ -3,10 +3,9 @@
 __version__ = "0.1.0"
 
 from .data_model import (
+    ColumnInference,
     Dataset,
     MethodKind,
-    PeptideInference,
-    SkipRecord,
     filter_by_rate,
     load_dataset,
     observation_rate,
@@ -14,11 +13,9 @@ from .data_model import (
     write_results,
 )
 from .dr_inference import (
-    ColumnInference,
     InferenceConfig,
     OlsFit,
     PseudoOutcome,
-    infer_all,
     infer_columns,
     infer_methods,
     ols_sandwich,
@@ -33,7 +30,7 @@ from .imputers import (
     impute_soft,
     load_external_nu,
 )
-from .multiple_testing import SelectionResult, adjust, bh_qvalues, mirror_rate, select
+from .multiple_testing import bh_qvalues, mirror_rate, select
 from .propensity import PropensityColumns, PropensityFit, fit_logistic, fit_logistic_columns
 from .sim_bench import (
     BenchResult,
@@ -53,15 +50,11 @@ __all__ = [
     "InferenceConfig",
     "MethodKind",
     "OlsFit",
-    "PeptideInference",
     "PropensityColumns",
     "PropensityFit",
     "PseudoOutcome",
-    "SelectionResult",
     "SimConfig",
     "SimTruth",
-    "SkipRecord",
-    "adjust",
     "bh_qvalues",
     "filter_by_rate",
     "fit_logistic",
@@ -71,7 +64,6 @@ __all__ = [
     "impute_knn",
     "impute_lowdim",
     "impute_soft",
-    "infer_all",
     "infer_columns",
     "infer_methods",
     "load_dataset",

@@ -12,7 +12,9 @@ from dataclasses import fields, replace
 import numpy as np
 
 from . import __version__, dr_inference, imputers, multiple_testing, sim_bench
-from .data_model import MethodKind, _write_csv, filter_by_rate, load_dataset, write_results
+from .data_model import (
+    MethodKind, _kept_rows, _write_csv, filter_by_rate, load_dataset, write_results,
+)
 from .dr_inference import InferenceConfig
 from .errors import DataError, NumericalError
 from .imputers import ImputerConfig
@@ -225,6 +227,8 @@ def _cmd_analyze(args) -> int:
     for flag, rate in _given(args, ("obs_threshold", "feed_threshold")).items():
         if not 0.0 <= rate <= 1.0:
             raise DataError(f"--{flag.replace('_', '-')} must be in [0, 1], got {rate:g}")
+    if hasattr(args, "feed_threshold") and not args.obs_threshold > 0:
+        raise DataError("--feed-threshold has no effect without a positive --obs-threshold")
     method = MethodKind(args.method)
     multiple_testing.check_alpha(args.alpha)
     d = load_dataset(
@@ -236,43 +240,51 @@ def _cmd_analyze(args) -> int:
     )
     nu_hat = None
     if args.obs_threshold > 0:
+        loaded = d.p
         d, d_feed = filter_by_rate(d, args.obs_threshold, **_given(args, ("feed_threshold",)))
-        log.info("kept %d/%d columns for inference", d.p, d_feed.p)
+        log.info("kept %d/%d columns for inference", d.p, loaded)
         if not args.cross_fit and dr_inference._METHODS[method].nu == "imputer":
             # impute on the wider feed set, infer on the kept columns
             feed = imputers.impute(d_feed, cfg.imputer)
-            kept = np.isin(d_feed.peptide_ids, d.peptide_ids)
-            nu_hat = replace(feed, nu_hat=feed.nu_hat[:, kept])
-    results, skips = dr_inference.infer_all(d, method, cfg, nu_hat=nu_hat, folds=args.cross_fit)
-    for rec in skips:
-        log.warning("skipped %s: %s", rec.peptide_id, rec.reason)
-    if not results:
+            inferred = np.isin(d_feed.peptide_ids, d.peptide_ids)
+            nu_hat = replace(feed, nu_hat=feed.nu_hat[:, inferred])
+    est = dr_inference.infer_columns(d, method, cfg, nu_hat=nu_hat, folds=args.cross_fit)
+    for pid, reason in zip(d.peptide_ids, est.skip_reason):
+        if reason:
+            log.warning("skipped %s: %s", pid, reason)
+    kept = np.flatnonzero(est.kept)
+    if not kept.size:
         raise DataError("no column produced an inference result")
-    selection = multiple_testing.adjust(results, args.alpha)
-    write_results(results, args.out)
+    q = multiple_testing.bh_qvalues(est.p_value[kept])
+    selected = multiple_testing.select(q, args.alpha)
+    write_results(d.peptide_ids, method, est, q, selected, args.out)
+    mirror = multiple_testing.mirror_rate(est.beta[kept], selected)
     log.info(
         "%d results, %d selected at alpha=%g (mirror rate %s)",
-        len(results),
-        len(selection.selected),
+        kept.size,
+        selected.size,
         args.alpha,
-        "undefined" if selection.mirror_rate is None else f"{selection.mirror_rate:.3f}",
+        "undefined" if mirror is None else f"{mirror:.3f}",
     )
     if args.volcano:
-        emit_volcano_data(results, args.volcano)
+        emit_volcano_data(d.peptide_ids, est, q, selected, args.volcano)
     return 0
 
 
-def emit_volcano_data(results, path):
-    """CSV of (peptide_id, beta, -log10 q, selected); q=0 capped at 300,
-    and q=1 written as 0.0, not -0.0."""
-    if not results:
+def emit_volcano_data(peptide_ids, est, q_values, selected, path):
+    """CSV of (peptide_id, beta, -log10 q, selected, capped) for the kept
+    columns of ``est``, from the arguments ``write_results`` takes; q=0
+    capped at 300, and q=1 written as 0.0, not -0.0."""
+    kept, ids, flags = _kept_rows(peptide_ids, est, selected)
+    if not kept.size:
         raise DataError("no results to export")
-    rows = []
-    for r in results:
-        capped = r.q_value == 0.0
-        val = 300.0 if capped else -float(np.log10(r.q_value)) + 0.0
-        rows.append([r.peptide_id, r.beta, val, int(r.selected), int(capped)])
-    _write_csv(path, ["peptide_id", "beta", "neg_log10_q", "selected", "capped"], rows)
+    q = np.asarray(q_values, dtype=float)
+    capped = q == 0.0
+    with np.errstate(divide="ignore"):
+        neg_log10_q = np.where(capped, 300.0, -np.log10(q) + 0.0)
+    _write_csv(path, ["peptide_id", "beta", "neg_log10_q", "selected", "capped"], zip(
+        ids, est.beta[kept].tolist(), neg_log10_q.tolist(), flags, capped.astype(int).tolist(),
+    ))
 
 
 def _cmd_simulate(args) -> int:

@@ -11,7 +11,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import Sequence
 
 import numpy as np
@@ -34,25 +34,23 @@ class MethodKind(str, Enum):
     DR_UW = "dr_uw"
 
 
-@dataclass
-class PeptideInference:
-    """Per-column inference result for the covariate of interest."""
-
-    peptide_id: str
-    method: MethodKind
-    beta: float
-    se: float
-    z: float
-    p_value: float
-    q_value: float = float("nan")
-    selected: bool = False
-    degenerate: bool = False
-
-
 @dataclass(frozen=True)
-class SkipRecord:
-    peptide_id: str
-    reason: str
+class ColumnInference:
+    """One estimator's target-coefficient inference for every column.
+
+    Skipped columns have a non-empty ``skip_reason`` and NaN estimates.
+    """
+
+    beta: np.ndarray
+    se: np.ndarray
+    z: np.ndarray
+    p_value: np.ndarray
+    degenerate: np.ndarray
+    skip_reason: np.ndarray  # object array of str, "" where kept
+
+    @property
+    def kept(self) -> np.ndarray:
+        return self.skip_reason == ""
 
 
 def _first_repeat(names):
@@ -404,18 +402,26 @@ def filter_by_rate(
     return d.select_columns(keep), d.select_columns(feed)
 
 
-def write_results(results, path):
-    """Write inference results as CSV (peptide_id, method, beta, se, z,
-    p_value, q_value, selected)."""
+def _kept_rows(peptide_ids, est: ColumnInference, selected) -> tuple:
+    """(column indexes, peptide ids, 0/1 selected flags) of the kept columns
+    of ``est``; ``selected`` indexes the kept columns, as ``select`` returns."""
+    kept = np.flatnonzero(est.kept)
+    flags = np.zeros(kept.size, dtype=int)
+    flags[selected] = 1
+    return kept, [peptide_ids[j] for j in kept], flags.tolist()
+
+
+def write_results(peptide_ids, method: MethodKind, est: ColumnInference, q_values, selected, path):
+    """Write the kept columns of ``est``, the inference of ``method``, as CSV
+    (peptide_id, method, beta, se, z, p_value, q_value, selected).
+
+    ``peptide_ids`` name every column of ``est``.  ``q_values`` and the
+    indices ``selected`` run over its kept columns, in order, as
+    ``bh_qvalues`` and ``select`` return them; a NaN q-value is written as
+    an empty cell."""
     header = ["peptide_id", "method", "beta", "se", "z", "p_value", "q_value", "selected"]
-    results = list(results)
+    kept, ids, flags = _kept_rows(peptide_ids, est, selected)
     # each float column is formatted in one pass, as _write_csv would
-    floats = [
-        list(map(repr, map(float, (getattr(r, name) for r in results))))
-        for name in ("beta", "se", "z", "p_value")
-    ]
-    q = ["" if math.isnan(v) else repr(v) for v in map(float, (r.q_value for r in results))]
-    _write_rows(path, header, zip(
-        [r.peptide_id for r in results], [r.method.value for r in results],
-        *floats, q, [int(r.selected) for r in results],
-    ))
+    floats = [list(map(repr, a[kept].tolist())) for a in (est.beta, est.se, est.z, est.p_value)]
+    q = ["" if math.isnan(v) else repr(v) for v in np.asarray(q_values, dtype=float).tolist()]
+    _write_rows(path, header, zip(ids, repeat(method.value), *floats, q, flags))

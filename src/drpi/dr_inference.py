@@ -20,7 +20,7 @@ import numpy as np
 
 from . import imputers, propensity
 from ._linalg import _masked_least_squares, _outer_rows
-from .data_model import Dataset, MethodKind, PeptideInference, SkipRecord
+from .data_model import ColumnInference, Dataset, MethodKind
 from .errors import DataError, NumericalError
 from .imputers import ImputedMatrix, ImputerConfig
 from .propensity import PropensityColumns
@@ -83,25 +83,6 @@ class InferenceConfig:
             raise DataError("prop_max_iter must be >= 1")
         if not self.prop_tol >= 0:
             raise DataError("prop_tol must be >= 0")
-
-
-@dataclass(frozen=True)
-class ColumnInference:
-    """One estimator's target-coefficient inference for every column.
-
-    Skipped columns have a non-empty ``skip_reason`` and NaN estimates.
-    """
-
-    beta: np.ndarray
-    se: np.ndarray
-    z: np.ndarray
-    p_value: np.ndarray
-    degenerate: np.ndarray
-    skip_reason: np.ndarray  # object array of str, "" where kept
-
-    @property
-    def kept(self) -> np.ndarray:
-        return self.skip_reason == ""
 
 
 def pseudo_outcomes(y, c, delta_hat, nu_hat) -> PseudoOutcome:
@@ -217,24 +198,6 @@ def _p_values(beta, se, variance_mode, df):
     return z, p, degenerate
 
 
-def _records(peptide_ids, method, est: ColumnInference):
-    """(results, skips) records in column order."""
-    results, skips = [], []
-    for row in zip(
-        peptide_ids, est.skip_reason, est.beta.tolist(), est.se.tolist(),
-        est.z.tolist(), est.p_value.tolist(), est.degenerate.tolist(),
-    ):
-        pid, reason, beta, se, z, p, degenerate = row
-        if reason:
-            skips.append(SkipRecord(pid, reason))
-        else:
-            results.append(PeptideInference(
-                peptide_id=pid, method=method, beta=beta, se=se, z=z, p_value=p,
-                degenerate=degenerate,
-            ))
-    return results, skips
-
-
 def _nuisances(d, specs, cfg, nu_hat=None, prop=None, train=None, at=None):
     """({nu source: its fit}, propensity or None) for the ``_METHODS`` rows
     ``specs``.
@@ -300,6 +263,7 @@ def infer_methods(
     diverged.
     """
     specs = {m: _METHODS[m] for m in methods}
+    tcol = d.covariate_index(cfg.target)
     if any(spec.nu == "oracle" for spec in specs.values()) and (
         oracle is None or not np.isfinite(oracle).all()
     ):
@@ -344,7 +308,6 @@ def infer_methods(
     c = d.mask  # C; a 0/1 factor or dividend gives the same floats as its float copy
     y0 = np.where(c == 1, d.y_obs, 0.0)
     resid = {}  # nu source -> its masked residuals, shared by the masked methods
-    tcol = d.covariate_index(cfg.target)
     all_missing = ~d.mask.any(axis=0)
     results = {}
     for (complete, variance_mode), group in groups.items():
@@ -404,17 +367,3 @@ def infer_columns(
     nu, and the nuisances, folds and skips are as described there.
     """
     return infer_methods(d, (method,), cfg, nu_hat, prop, oracle, folds)[method]
-
-
-def infer_all(
-    d: Dataset,
-    method: MethodKind,
-    cfg: InferenceConfig,
-    nu_hat: ImputedMatrix = None,
-    prop: PropensityColumns = None,
-    oracle: np.ndarray = None,
-    folds: int = 0,
-):
-    """``infer_columns`` as records: (results, skips) in column order."""
-    est = infer_columns(d, method, cfg, nu_hat, prop, oracle, folds)
-    return _records(d.peptide_ids, method, est)

@@ -1,7 +1,6 @@
 """Benjamini-Hochberg q-values, cutoff selection, and the mirror rate."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -59,30 +58,3 @@ def mirror_rate(betas: np.ndarray, selected: np.ndarray) -> Optional[float]:
     if npos == 0:
         return None
     return nneg / npos
-
-
-@dataclass(frozen=True)
-class SelectionResult:
-    q_values: np.ndarray
-    selected: np.ndarray  # indices into the input order
-    alpha: float
-    mirror_rate: Optional[float]
-
-    @property
-    def n_selected(self) -> int:
-        return int(self.selected.size)
-
-
-def adjust(inferences, alpha: float) -> SelectionResult:
-    """Attach BH q-values and selection flags to PeptideInference records
-    (any iterable of them; it is read once)."""
-    inferences = list(inferences)
-    p = np.array([r.p_value for r in inferences])
-    q = bh_qvalues(p)
-    sel = select(q, alpha)
-    sel_set = set(sel.tolist())
-    for i, r in enumerate(inferences):
-        r.q_value = float(q[i])
-        r.selected = i in sel_set
-    mr = mirror_rate(np.array([r.beta for r in inferences]), sel)
-    return SelectionResult(q_values=q, selected=sel, alpha=alpha, mirror_rate=mr)

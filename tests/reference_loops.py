@@ -338,6 +338,8 @@ def write_csv(path, header, rows):
 
 
 def write_results(results, path):
+    """The results CSV, one row per record: any object with the fields named
+    in the header, and a ``method`` whose ``value`` is written."""
     header = ["peptide_id", "method", "beta", "se", "z", "p_value", "q_value", "selected"]
     write_csv(path, header, (
         [r.peptide_id, r.method.value, float(r.beta), float(r.se), float(r.z),

@@ -13,7 +13,7 @@ from scipy import stats
 
 from drpi import propensity
 from drpi.data_model import Dataset, MethodKind
-from drpi.dr_inference import InferenceConfig, infer_all, ols_sandwich, pseudo_outcomes
+from drpi.dr_inference import InferenceConfig, infer_columns, ols_sandwich, pseudo_outcomes
 from drpi.imputers import ImputerConfig, impute_soft
 from drpi.multiple_testing import bh_qvalues, select
 from drpi.sim_bench import (
@@ -124,16 +124,13 @@ def test_02_estimator_collapse_all_observed():
         target="a", variance_mode="sandwich",
         imputer=ImputerConfig(backend="lowdim"),
     )
-    ref, _ = infer_all(d, MethodKind.FULL, cfg, oracle=y)
+    ref = infer_columns(d, MethodKind.FULL, cfg, oracle=y)
     worst = 0.0
     for m in (MethodKind.COMPLETE, MethodKind.PLUGIN_MISSING,
               MethodKind.DR_W, MethodKind.DR_UW):
-        res, skips = infer_all(d, m, cfg)
-        assert not skips
-        worst = max(
-            worst,
-            max(abs(r1.beta - r0.beta) for r0, r1 in zip(ref, res)),
-        )
+        res = infer_columns(d, m, cfg)
+        assert res.kept.all()
+        worst = max(worst, np.abs(res.beta - ref.beta).max())
     elapsed = time.monotonic() - t0
     report(2, "estimator-collapse", worst < 1e-12 and elapsed < 1.0,
            f"max |beta diff| {worst:.2e}, {elapsed:.3f}s")

@@ -15,8 +15,8 @@ import pytest
 from drpi import imputers, propensity
 from drpi._linalg import _centred
 from drpi.cli import build_parser, parse_and_dispatch
-from drpi.data_model import MethodKind, SkipRecord, write_dataset
-from drpi.dr_inference import InferenceConfig, infer_all, infer_columns
+from drpi.data_model import MethodKind, write_dataset
+from drpi.dr_inference import InferenceConfig, infer_columns
 from drpi.imputers import ImputerConfig, impute, impute_knn, impute_lowdim, impute_soft
 from drpi.propensity import fit_logistic, fit_logistic_columns
 from drpi.sim_bench import SimConfig, gen_dataset
@@ -161,9 +161,9 @@ def test_every_method_matches_reference_loop(method, desk):
 def test_cross_fit_matches_reference_loop(method, backend):
     d, _ = gen_dataset(SimConfig(model=3, n=200, p=120, seed=5))
     cfg = InferenceConfig(target="a", imputer=ImputerConfig(backend=backend))
-    res, skips = infer_all(d, method, cfg, folds=5)
-    assert not skips
-    got = np.array([[r.beta, r.se, r.p_value] for r in res])
+    est = infer_columns(d, method, cfg, folds=5)
+    assert est.kept.all()
+    got = np.column_stack([est.beta, est.se, est.p_value])
     want = ref.cross_fit(d, 5, TCOL, "lowdim" if method is MethodKind.DR_W else backend,
                          fit=_new_fit)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
@@ -552,6 +552,13 @@ def test_fold_fit_evaluates_held_out_rows_as_its_own_coefficients_do():
     assert rows == {40, 41}
 
 
+def _assert_kept_match(res, alone):
+    """The kept columns of ``res`` have the beta, se and p-value that
+    ``alone``, fitted on those columns only, gives them."""
+    for name in ("beta", "se", "p_value"):
+        assert getattr(res, name)[res.kept] == pytest.approx(getattr(alone, name), rel=1e-12)
+
+
 def test_irls_divergence_skips_only_that_column(tmp_path):
     d = _one_diverging_column(np.random.default_rng(0))
     assert fit_logistic_columns(d.mask, d.w).diverged.tolist() == [
@@ -560,18 +567,17 @@ def test_irls_divergence_skips_only_that_column(tmp_path):
     others = d.select_columns([0, 1, 3, 4, 5])
     cfg = InferenceConfig(target="a", imputer=ImputerConfig(backend="lowdim"))
     runs = [
-        lambda data: infer_all(data, MethodKind.DR_UW, cfg),
-        lambda data: infer_all(data, MethodKind.DR_W, cfg),
-        lambda data: infer_all(data, MethodKind.DR_UW, cfg, folds=3),
+        lambda data: infer_columns(data, MethodKind.DR_UW, cfg),
+        lambda data: infer_columns(data, MethodKind.DR_W, cfg),
+        lambda data: infer_columns(data, MethodKind.DR_UW, cfg, folds=3),
     ]
     for run in runs:
-        res, skips = run(d)
-        assert [s.peptide_id for s in skips] == ["p2"]
-        assert "diverged" in skips[0].reason
-        alone, _ = run(others)
-        assert [r.peptide_id for r in res] == [r.peptide_id for r in alone]
-        for r, r0 in zip(res, alone):
-            assert (r.beta, r.se, r.p_value) == pytest.approx((r0.beta, r0.se, r0.p_value), rel=1e-12)
+        res = run(d)
+        assert [d.peptide_ids[j] for j in np.flatnonzero(~res.kept)] == ["p2"]
+        assert "diverged" in res.skip_reason[2]
+        alone = run(others)
+        assert alone.kept.all()
+        _assert_kept_match(res, alone)
 
     write_dataset(d, tmp_path / "y.csv", tmp_path / "w.csv")
     code = parse_and_dispatch([
@@ -593,11 +599,10 @@ def test_singular_complete_case_design_skips_only_that_column():
     mask[:, 1] = a == 1
     d = make_dataset(rng.normal(size=(n, p)), mask, w, covariate_names=("intercept", "a", "x"))
     cfg = InferenceConfig(target="a")
-    res, skips = infer_all(d, MethodKind.COMPLETE, cfg)
-    assert skips == [SkipRecord("p1", "singular complete-case design")]
-    alone, _ = infer_all(d.select_columns([0, 2, 3]), MethodKind.COMPLETE, cfg)
-    for r, r0 in zip(res, alone):
-        assert (r.beta, r.se, r.p_value) == pytest.approx((r0.beta, r0.se, r0.p_value), rel=1e-12)
+    res = infer_columns(d, MethodKind.COMPLETE, cfg)
+    assert res.skip_reason.tolist() == ["", "singular complete-case design", "", ""]
+    alone = infer_columns(d.select_columns([0, 2, 3]), MethodKind.COMPLETE, cfg)
+    _assert_kept_match(res, alone)
 
 
 # ------------------------------------------------------ import and docs

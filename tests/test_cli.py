@@ -14,13 +14,13 @@ import pytest
 from drpi import cli, dr_inference, sim_bench
 from drpi.cli import _parse_rho_grid, emit_volcano_data, parse_and_dispatch
 from drpi.data_model import (
-    Dataset, MethodKind, PeptideInference, filter_by_rate, load_dataset, write_dataset,
+    ColumnInference, Dataset, MethodKind, filter_by_rate, load_dataset, write_dataset,
     write_results,
 )
-from drpi.dr_inference import InferenceConfig, infer_all
+from drpi.dr_inference import InferenceConfig, infer_columns
 from drpi.errors import DataError
 from drpi.imputers import ImputedMatrix, ImputerConfig, impute
-from drpi.multiple_testing import adjust
+from drpi.multiple_testing import bh_qvalues, select
 from drpi.sim_bench import SimConfig, gen_dataset
 from tests.test_batched import ROOT, _in_fresh_process
 
@@ -159,12 +159,15 @@ def test_out_of_range_propensity_setting_exits_2(flag, value, csv_pair, tmp_path
     ("--obs-threshold", "-0.5", "--obs-threshold must be in [0, 1]"),
     ("--feed-threshold", "7", "--feed-threshold must be in [0, 1]"),
     ("--feed-threshold", "-3", "--feed-threshold must be in [0, 1]"),
+    ("--feed-threshold", "0.9",
+     "--feed-threshold has no effect without a positive --obs-threshold"),
     ("--imputer", "external", "--external-nu and --imputer external"),
 ])
 def test_out_of_range_flag_exits_2_before_reading_csvs(flag, value, field, tmp_path, capsys):
     """A negative rank cap would silently lift the cap, an alpha outside
     (0, 1) would only fail after the whole analysis, an observation-rate
-    threshold outside [0, 1] would be ignored, and the external imputer
+    threshold outside [0, 1] would be ignored, as would a feed threshold
+    without an observation threshold, and the external imputer
     needs its --external-nu file; each is refused before the inputs, which
     do not exist here, are opened."""
     out = tmp_path / "out.csv"
@@ -420,11 +423,26 @@ def test_analyze_imputes_on_the_feed_set(tmp_path):
     assert feed.p == 30 and kept.p == 24
     cfg = InferenceConfig(target="a", imputer=ImputerConfig(backend="knn"))
     nu = impute(feed, cfg.imputer).nu_hat[:, 6:]
-    want, _ = infer_all(kept, MethodKind.DR_UW, cfg,
-                        nu_hat=ImputedMatrix(nu, backend="knn"))
-    assert got == [(r.peptide_id, r.beta, r.se, r.p_value) for r in want]
-    kept_only, _ = infer_all(kept, MethodKind.DR_UW, cfg)
-    assert [r.beta for r in kept_only] != [r.beta for r in want]
+    want = infer_columns(kept, MethodKind.DR_UW, cfg, nu_hat=ImputedMatrix(nu, backend="knn"))
+    assert want.kept.all()
+    assert got == list(zip(kept.peptide_ids, want.beta.tolist(), want.se.tolist(),
+                           want.p_value.tolist()))
+    kept_only = infer_columns(kept, MethodKind.DR_UW, cfg)
+    assert kept_only.beta.tolist() != want.beta.tolist()
+
+
+def test_analyze_logs_kept_columns_out_of_the_loaded_ones(tmp_path, caplog):
+    """The kept count is out of the columns loaded, not out of the feed set,
+    which a feed threshold as high as the observation threshold narrows."""
+    with caplog.at_level(logging.INFO, logger="drpi"):
+        code = run_cli(
+            "analyze", "--outcomes", str(ROOT / "fixtures" / "outcomes.csv"),
+            "--covariates", str(ROOT / "fixtures" / "covariates.csv"), "--target", "a",
+            "--imputer", "lowdim", "--obs-threshold", "0.9", "--feed-threshold", "0.9",
+            "--out", str(tmp_path / "r.csv"),
+        )
+    assert code == 0
+    assert "kept 1/10 columns for inference" in caplog.messages
 
 
 @pytest.mark.parametrize("threshold", [None, "0.5"])
@@ -485,9 +503,9 @@ def cross_fit_csvs(tmp_path):
 
 @pytest.mark.parametrize("threshold", [None, "0.5"])
 @pytest.mark.parametrize("method", ["dr_uw", "dr_w"])
-def test_analyze_cross_fit_matches_infer_all(method, threshold, cross_fit_csvs, tmp_path):
-    """``--cross-fit K`` writes what ``infer_all(..., folds=K)`` and
-    ``adjust`` give on the same (kept) columns."""
+def test_analyze_cross_fit_matches_infer_columns(method, threshold, cross_fit_csvs, tmp_path):
+    """``--cross-fit K`` writes what ``infer_columns(..., folds=K)``, BH and
+    ``select`` give on the same (kept) columns."""
     y_csv, w_csv = cross_fit_csvs
     out, want_csv = tmp_path / "r.csv", tmp_path / "want.csv"
     extra = ["--obs-threshold", threshold] if threshold else []
@@ -503,10 +521,10 @@ def test_analyze_cross_fit_matches_infer_all(method, threshold, cross_fit_csvs, 
         d, _ = filter_by_rate(d, float(threshold))
         assert d.p == 24
     cfg = InferenceConfig(target="a", imputer=ImputerConfig(backend="lowdim"))
-    want, skips = infer_all(d, MethodKind(method), cfg, folds=5)
-    assert not skips
-    adjust(want, 0.05)
-    write_results(want, want_csv)
+    want = infer_columns(d, MethodKind(method), cfg, folds=5)
+    assert want.kept.all()
+    q = bh_qvalues(want.p_value)
+    write_results(d.peptide_ids, MethodKind(method), want, q, select(q, 0.05), want_csv)
     assert out.read_bytes() == want_csv.read_bytes()
 
 
@@ -648,7 +666,7 @@ def test_omitted_flags_take_the_library_defaults(csv_pair, tmp_path, monkeypatch
     assert len(mapped) == 32
 
     out = str(tmp_path / "o.csv")
-    _capture(monkeypatch, dr_inference, "infer_all")
+    _capture(monkeypatch, dr_inference, "infer_columns")
     (_, _, cfg), _ = _captured_call(
         "analyze", "--outcomes", str(csv_pair[0]), "--covariates", str(csv_pair[1]),
         "--target", "a", "--out", out,
@@ -798,15 +816,18 @@ def test_golden_fixture_analyze(tmp_path):
 
 
 def test_volcano_values(tmp_path):
-    recs = [
-        PeptideInference("p0", MethodKind.DR_UW, 1.0, 0.1, 10.0, 0.01, 0.05, True),
-        PeptideInference("p1", MethodKind.DR_UW, -0.5, 0.1, -5.0, 0.5, 1.0, False),
-        PeptideInference("p2", MethodKind.DR_UW, 2.0, 0.1, 20.0, 0.0, 0.0, True),
-    ]
+    """p3, skipped, is left out; rows 0 to 2 have q = 0.05, 1 and 0."""
+    est = ColumnInference(
+        beta=np.array([1.0, -0.5, 2.0, np.nan]), se=np.array([0.1, 0.1, 0.1, np.nan]),
+        z=np.array([10.0, -5.0, 20.0, np.nan]), p_value=np.array([0.01, 0.5, 0.0, np.nan]),
+        degenerate=np.zeros(4, dtype=bool),
+        skip_reason=np.array(["", "", "", "all entries missing"], dtype=object),
+    )
     path = tmp_path / "volcano.csv"
-    emit_volcano_data(recs, path)
+    emit_volcano_data(["p0", "p1", "p2", "p3"], est, np.array([0.05, 1.0, 0.0]), [0, 2], path)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
+    assert len(rows) == 3
     assert float(rows[0]["neg_log10_q"]) == pytest.approx(-np.log10(0.05), abs=1e-12)
     assert float(rows[1]["neg_log10_q"]) == pytest.approx(0.0, abs=1e-12)
     assert path.read_text().splitlines()[2] == "p1,-0.5,0.0,0,0"  # q = 1: no "-0.0"

@@ -2,6 +2,7 @@ import csv
 import io
 import os
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 from drpi import data_model
 from drpi.data_model import (
+    ColumnInference,
     Dataset,
     MethodKind,
-    PeptideInference,
     _csv_rows,
     _read_table,
     filter_by_rate,
@@ -491,24 +492,45 @@ def test_reader_matches_reference_loop_across_blocks(monkeypatch, tmp_path, case
         _check_reader(tmp_path, case, token)
 
 
-def _results():
+def _results(method):
+    """Lightweight records for the reference writer; ``_as_columns`` gives
+    the writer's arguments."""
     ids = ["p1", "pep,2", 'pep"3', "pep\n4", " pep5 ", "pep\r6"]
     beta = [0.1, -0.0, np.float64(1e-300), float("inf"), np.float64("nan"), 3]
     q = [float("nan"), 0.0, np.float64(1 / 3), np.float64("nan"), 1.0, 0.1 + 0.2]
-    methods = [MethodKind.DR_UW, MethodKind.PLUGIN, MethodKind.COMPLETE] * 2
     return [
-        PeptideInference(
-            pid, m, b, se=abs(b) / 3 + 1e-17 * k, z=np.float64(-b), p_value=1 / (k + 1),
-            q_value=qv, selected=bool(k % 2), degenerate=k == 3,
+        SimpleNamespace(
+            peptide_id=pid, method=method, beta=b, se=abs(b) / 3 + 1e-17 * k,
+            z=np.float64(-b), p_value=1 / (k + 1), q_value=qv, selected=bool(k % 2),
         )
-        for k, (pid, m, b, qv) in enumerate(zip(ids, methods, beta, q))
+        for k, (pid, b, qv) in enumerate(zip(ids, beta, q))
     ]
 
 
+def _as_columns(records):
+    """(peptide ids, ColumnInference, q-values, selected indices) of the
+    records, after a skipped first column."""
+    def column(name):
+        return np.array([np.nan] + [getattr(r, name) for r in records], dtype=float)
+
+    est = ColumnInference(
+        column("beta"), column("se"), column("z"), column("p_value"),
+        np.zeros(len(records) + 1, dtype=bool),
+        np.array(["all entries missing"] + [""] * len(records), dtype=object),
+    )
+    q = np.array([r.q_value for r in records], dtype=float)
+    selected = np.flatnonzero([r.selected for r in records])
+    return ["skipped", *(r.peptide_id for r in records)], est, q, selected
+
+
+@pytest.mark.parametrize("method", [MethodKind.DR_UW, MethodKind.PLUGIN, MethodKind.COMPLETE])
 @pytest.mark.parametrize("count", [0, 1, 6])
-def test_write_results_matches_reference_loop(tmp_path, count):
-    results = _results()[:count]
-    write_results(iter(results), tmp_path / "new.csv")  # any iterable, read once
+def test_write_results_matches_reference_loop(tmp_path, count, method):
+    """The kept columns are written as the reference loop writes their
+    records; the skipped column is left out."""
+    results = _results(method)[:count]
+    ids, est, q, selected = _as_columns(results)
+    write_results(ids, method, est, q, selected, tmp_path / "new.csv")
     ref.write_results(results, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 

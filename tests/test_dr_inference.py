@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from drpi import propensity
-from drpi.data_model import MethodKind, SkipRecord
+from drpi import imputers, propensity
+from drpi.data_model import MethodKind
 from drpi.dr_inference import (
     _METHODS,
     VARIANCE_MODES,
     InferenceConfig,
     _p_values,
-    infer_all,
     infer_columns,
     infer_methods,
     ols_sandwich,
@@ -159,18 +158,17 @@ def test_dr_collapses_to_full_when_all_observed():
         target="a", variance_mode="sandwich", imputer=ImputerConfig(backend="lowdim")
     )
 
-    ref, _ = infer_all(d, MethodKind.FULL, cfg, oracle=y)
+    ref = infer_columns(d, MethodKind.FULL, cfg, oracle=y)
     for method in (
         MethodKind.COMPLETE,
         MethodKind.PLUGIN_MISSING,
         MethodKind.DR_W,
         MethodKind.DR_UW,
     ):
-        res, skips = infer_all(d, method, cfg)
-        assert not skips
-        for r0, r1 in zip(ref, res):
-            assert r1.beta == pytest.approx(r0.beta, abs=1e-10)
-            assert r1.p_value == pytest.approx(r0.p_value, abs=1e-10)
+        res = infer_columns(d, method, cfg)
+        assert res.kept.all()
+        assert res.beta == pytest.approx(ref.beta, abs=1e-10)
+        assert res.p_value == pytest.approx(ref.p_value, abs=1e-10)
 
 
 # ------------------------------------------------------ null calibration
@@ -187,8 +185,8 @@ def test_null_rejection_rate_near_level():
     mask = (rng.random((n, p)) > 0.3).astype(np.int8)
     d = make_dataset(y, mask, w, covariate_names=("intercept", "a", "x"))
     cfg = InferenceConfig(target="a", imputer=ImputerConfig(backend="lowdim"))
-    res, _ = infer_all(d, MethodKind.DR_UW, cfg)
-    rate = np.mean([r.p_value < 0.05 for r in res])
+    res = infer_columns(d, MethodKind.DR_UW, cfg)
+    rate = np.mean(res.p_value[res.kept] < 0.05)
     # columns are independent here: binomial(200, .05) 4-sigma band
     assert abs(rate - 0.05) < 4 * np.sqrt(0.05 * 0.95 / p)
 
@@ -205,9 +203,9 @@ def test_p_values_match_normal_reference():
     mask = np.ones((n, 1), dtype=np.int8)
     d = make_dataset(y.reshape(-1, 1), mask, w)
     cfg = InferenceConfig(target=d.covariate_names[1], variance_mode="sandwich")
-    (out,), skips = infer_all(d, MethodKind.COMPLETE, cfg)
-    assert not skips
-    assert out.p_value == pytest.approx(expected, abs=1e-12)
+    out = infer_columns(d, MethodKind.COMPLETE, cfg)
+    assert out.kept.tolist() == [True]
+    assert out.p_value[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_normal_p_values_match_ndtr_to_rounding():
@@ -267,10 +265,9 @@ def test_complete_case_skip_when_rows_short():
     mask = np.ones((n, 2), dtype=np.int8)
     mask[3:, 0] = 0  # 3 observed rows < q+2 = 4
     d = make_dataset(y, mask, w)
-    res, skips = infer_all(d, MethodKind.COMPLETE, InferenceConfig(target=d.covariate_names[1]))
-    assert len(res) == 1
-    assert len(skips) == 1
-    assert "q+2" in skips[0].reason
+    res = infer_columns(d, MethodKind.COMPLETE, InferenceConfig(target=d.covariate_names[1]))
+    assert res.kept.tolist() == [False, True]
+    assert "q+2" in res.skip_reason[0]
 
 
 def test_full_requires_oracle():
@@ -279,7 +276,19 @@ def test_full_requires_oracle():
     w = np.column_stack([np.ones(n), rng.normal(size=n)])
     d = make_dataset(rng.normal(size=(n, 1)), np.ones((n, 1), dtype=np.int8), w)
     with pytest.raises(DataError):
-        infer_all(d, MethodKind.FULL, InferenceConfig(target=d.covariate_names[1]))
+        infer_columns(d, MethodKind.FULL, InferenceConfig(target=d.covariate_names[1]))
+
+
+def test_unknown_target_is_refused_before_any_nuisance_fit(monkeypatch):
+    """A target that names no covariate is a DataError before the imputer
+    (soft by default) or the propensity IRLS runs."""
+    d, _ = gen_dataset(SimConfig(model=3, n=60, p=20, seed=2))
+    calls = []
+    for module, name in ((imputers, "impute"), (propensity, "fit_logistic_columns")):
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: calls.append(name))
+    with pytest.raises(DataError, match="unknown covariate 'nope'"):
+        infer_methods(d, (MethodKind.DR_W, MethodKind.DR_UW), InferenceConfig(target="nope"))
+    assert calls == []
 
 
 # ------------------------------------------------------ cross-fitting
@@ -299,11 +308,10 @@ def test_cross_fit_runs_and_matches_scale():
     rng = np.random.default_rng(7)
     d = _mar_dataset(rng)
     cfg = InferenceConfig(target="a", imputer=ImputerConfig(backend="lowdim"))
-    res, skips = infer_all(d, MethodKind.DR_UW, cfg, folds=4)
-    assert len(res) == d.p and not skips
-    plain, _ = infer_all(d, MethodKind.DR_UW, cfg)
-    for r_cf, r in zip(res, plain):
-        assert abs(r_cf.beta - r.beta) < 6 * max(r.se, r_cf.se)
+    res = infer_columns(d, MethodKind.DR_UW, cfg, folds=4)
+    assert res.kept.all()
+    plain = infer_columns(d, MethodKind.DR_UW, cfg)
+    assert (np.abs(res.beta - plain.beta) < 6 * np.maximum(plain.se, res.se)).all()
 
 
 def test_cross_fit_collapse_no_missing():
@@ -316,10 +324,11 @@ def test_cross_fit_collapse_no_missing():
     y = rng.normal(size=(n, p))
     d = make_dataset(y, np.ones((n, p), dtype=np.int8), w, covariate_names=("intercept", "a"))
     cfg = InferenceConfig(target="a", imputer=ImputerConfig(backend="mean"))
-    res, _ = infer_all(d, MethodKind.DR_UW, cfg, folds=3)
-    full, _ = infer_all(d, MethodKind.FULL, InferenceConfig(target="a", variance_mode="sandwich"), oracle=y)
-    for r_cf, r in zip(res, full):
-        assert r_cf.beta == pytest.approx(r.beta, abs=1e-10)
+    res = infer_columns(d, MethodKind.DR_UW, cfg, folds=3)
+    full = infer_columns(
+        d, MethodKind.FULL, InferenceConfig(target="a", variance_mode="sandwich"), oracle=y
+    )
+    assert res.beta == pytest.approx(full.beta, abs=1e-10)
 
 
 @pytest.mark.parametrize("backend", ["lowdim", "mean"])
@@ -338,10 +347,11 @@ def test_cross_fit_skips_a_column_with_too_few_training_rows(backend):
     cfg = InferenceConfig(target="a", imputer=ImputerConfig(backend=backend))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # fold fits skip such columns; they warn nothing
-        res, skips = infer_all(wider, MethodKind.DR_UW, cfg, folds=4)
-        want, _ = infer_all(d, MethodKind.DR_UW, cfg, folds=4)
-    assert [(s.peptide_id, s.reason) for s in skips] == [("p5", "too few observed training rows")]
-    assert res == want
+        res = infer_columns(wider, MethodKind.DR_UW, cfg, folds=4)
+        want = infer_columns(d, MethodKind.DR_UW, cfg, folds=4)
+    assert res.skip_reason.tolist() == [""] * d.p + ["too few observed training rows"]
+    for name in ("beta", "se", "z", "p_value", "degenerate"):
+        np.testing.assert_array_equal(getattr(res, name)[: d.p], getattr(want, name))
 
 
 def test_cross_fit_preconditions():
@@ -349,19 +359,19 @@ def test_cross_fit_preconditions():
     d = _mar_dataset(rng, n=40)
     cfg = InferenceConfig(target="a")
     with pytest.raises(DataError):
-        infer_all(d, MethodKind.PLUGIN, cfg, folds=2)
+        infer_columns(d, MethodKind.PLUGIN, cfg, folds=2)
     with pytest.raises(DataError):
-        infer_all(d, MethodKind.DR_UW, cfg, folds=1)
+        infer_columns(d, MethodKind.DR_UW, cfg, folds=1)
     with pytest.raises(DataError):
-        infer_all(d, MethodKind.DR_UW, cfg, folds=20)
+        infer_columns(d, MethodKind.DR_UW, cfg, folds=20)
     bad = InferenceConfig(target="a", imputer=ImputerConfig(backend="soft"))
     with pytest.raises(DataError):
-        infer_all(d, MethodKind.DR_UW, bad, folds=2)
+        infer_columns(d, MethodKind.DR_UW, bad, folds=2)
     # cross-fitting fits its own nuisances; passed ones are not ignored
     given = {"nu_hat": impute_lowdim(d), "prop": fit_logistic_columns(d.mask, d.w)}
     for name, nuisance in given.items():
         with pytest.raises(DataError, match="fits its own nuisances"):
-            infer_all(d, MethodKind.DR_W, cfg, folds=2, **{name: nuisance})
+            infer_columns(d, MethodKind.DR_W, cfg, folds=2, **{name: nuisance})
 
 
 def _given_nuisance(name, d):

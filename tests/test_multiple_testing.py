@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drpi.data_model import MethodKind, PeptideInference
-from drpi.multiple_testing import adjust, bh_qvalues, mirror_rate, select
+from drpi.multiple_testing import bh_qvalues, mirror_rate, select
 
 
 def stepup_oracle(p, alpha):
@@ -80,40 +79,22 @@ def test_mirror_rate_none_when_no_positive_selected():
     assert mirror_rate(betas, np.array([False, False])) is None
 
 
-def test_adjust_mutates_records_and_orders_by_input():
-    recs = [
-        PeptideInference("p0", MethodKind.DR_UW, 1.0, 0.1, 10.0, 0.01),
-        PeptideInference("p1", MethodKind.DR_UW, -1.0, 0.1, -10.0, 0.02),
-        PeptideInference("p2", MethodKind.DR_UW, 0.1, 0.1, 1.0, 0.9),
-    ]
-    out = adjust(recs, alpha=0.05)
-    assert recs[0].q_value == pytest.approx(0.03)
-    assert recs[1].q_value == pytest.approx(0.03)
-    assert recs[2].q_value == pytest.approx(0.9)
-    assert [r.selected for r in recs] == [True, True, False]
-    assert out.n_selected == 2
-    assert out.mirror_rate == pytest.approx(1.0)
+def test_bh_selection_and_mirror_rate_follow_input_order():
+    """The analyze flow: q-values in input order, the selected indices into
+    it, and the mirror rate of the selected coefficients."""
+    p = np.array([0.01, 0.02, 0.9])
+    q = bh_qvalues(p)
+    assert q.tolist() == pytest.approx([0.03, 0.03, 0.9])
+    sel = select(q, 0.05)
+    assert sel.tolist() == [0, 1]
+    assert mirror_rate(np.array([1.0, -1.0, 0.1]), sel) == pytest.approx(1.0)
 
 
-def test_adjust_reads_an_iterator_once():
-    """Records handed over as a one-pass iterator get the same q-values,
-    selection and mirror rate as the list."""
-    recs = [
-        PeptideInference("p0", MethodKind.DR_UW, 1.0, 0.1, 10.0, 0.01),
-        PeptideInference("p1", MethodKind.DR_UW, -1.0, 0.1, -10.0, 0.02),
-        PeptideInference("p2", MethodKind.DR_UW, 0.1, 0.1, 1.0, 0.9),
-    ]
-    out = adjust(iter(recs), alpha=0.05)
-    assert [r.q_value for r in recs] == pytest.approx([0.03, 0.03, 0.9])
-    assert [r.selected for r in recs] == [True, True, False]
-    assert out.selected.tolist() == [0, 1]
-    assert out.mirror_rate == pytest.approx(1.0)
-
-
-def test_adjust_empty():
-    out = adjust([], alpha=0.05)
-    assert out.n_selected == 0
-    assert out.mirror_rate is None
+def test_bh_selection_and_mirror_rate_empty():
+    q = bh_qvalues(np.array([]))
+    sel = select(q, 0.05)
+    assert sel.size == 0
+    assert mirror_rate(np.array([]), sel) is None
 
 
 # --------------------------------------------------------- properties
