@@ -41,7 +41,8 @@ def _add_common(sp):
     sp.add_argument(
         "--quiet", action="store_true", default=False, help="suppress progress logging"
     )
-    sp.add_argument("--log-level", default="info")
+    levels = ("debug", "info", "warning", "error", "critical")
+    sp.add_argument("--log-level", default="info", type=str.lower, choices=levels)
 
 
 def _add_imputer(sp, backends):
@@ -227,9 +228,15 @@ def _cmd_analyze(args) -> int:
     for flag, rate in _given(args, ("obs_threshold", "feed_threshold")).items():
         if not 0.0 <= rate <= 1.0:
             raise DataError(f"--{flag.replace('_', '-')} must be in [0, 1], got {rate:g}")
-    if hasattr(args, "feed_threshold") and not args.obs_threshold > 0:
-        raise DataError("--feed-threshold has no effect without a positive --obs-threshold")
     method = MethodKind(args.method)
+    if hasattr(args, "feed_threshold"):
+        if not args.obs_threshold > 0:
+            raise DataError("--feed-threshold has no effect without a positive --obs-threshold")
+        # only an imputer fitted once on every row is fitted on the feed set
+        if args.cross_fit or dr_inference._METHODS[method].nu != "imputer":
+            given = f"--cross-fit {args.cross_fit}" if args.cross_fit else f"--method {args.method}"
+            raise DataError(f"--feed-threshold has no effect with {given}: "
+                            "no imputer is fitted on the feed set")
     multiple_testing.check_alpha(args.alpha)
     d = load_dataset(
         args.outcomes,
@@ -350,9 +357,7 @@ def parse_and_dispatch(argv=None) -> int:
     # basicConfig installs the stderr handler once per process; the level is
     # set on drpi's own logger so every call's --quiet/--log-level applies
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
-    log.setLevel(
-        logging.ERROR if args.quiet else getattr(logging, args.log_level.upper(), logging.INFO)
-    )
+    log.setLevel(logging.ERROR if args.quiet else args.log_level.upper())
     handler = {
         "analyze": _cmd_analyze,
         "simulate": _cmd_simulate,

@@ -44,8 +44,8 @@ BACKENDS = ("mean", "lowdim", "soft", "knn", "knn2", "external")
 class ImputerConfig:
     backend: str = "soft"  # one of BACKENDS
     rank_penalty: float = float("nan")  # soft-impute lambda; NaN = auto
-    max_rank: int = 10
-    k_neighbors: int = 10
+    max_rank: int = 10  # soft-impute rank: at most this, and at most min(n, p)
+    k_neighbors: int = 10  # knn/knn2: at most this many of the p - 1 columns (n - 1 rows)
     max_iter: int = 500
     tol: float = 1e-5
     external_path: str = ""
@@ -65,16 +65,6 @@ class ImputerConfig:
             raise DataError("tol (soft-impute tolerance) must be >= 0")
         if self.backend == "external" and not self.external_path:
             raise DataError("the external imputer needs external_path, its fitted-means CSV")
-
-
-def check_shape(backend: str, cfg: ImputerConfig, n: int, p: int) -> None:
-    """Raise DataError if ``backend`` cannot fit an n x p matrix under
-    ``cfg``: soft-impute needs max_rank <= min(n, p), knn and knn2 need
-    k_neighbors < p."""
-    if backend == "soft" and cfg.max_rank > min(n, p):
-        raise DataError("max_rank exceeds min(n, p)")
-    if backend in ("knn", "knn2") and cfg.k_neighbors >= p:
-        raise DataError("k_neighbors must be < p")
 
 
 def _column_means(d: Dataset, train=None) -> np.ndarray:
@@ -179,7 +169,6 @@ def impute_soft(d: Dataset, cfg: ImputerConfig = None) -> ImputedMatrix:
     (the last relative Frobenius change).
     """
     cfg = cfg or ImputerConfig(backend="soft")
-    check_shape("soft", cfg, d.n, d.p)
     wfit = _lowdim_matrix(d)
     obs = d.mask == 1
     resid = np.where(obs, d.y_obs - wfit, 0.0)
@@ -284,18 +273,18 @@ def _top_k(sim, k):
 
 
 def impute_knn(d: Dataset, cfg: ImputerConfig = None) -> ImputedMatrix:
-    """Mean of the k most-correlated peptide columns, mean-adjusted per pair.
+    """Mean of at most k most-correlated peptide columns, mean-adjusted per pair.
 
     Similarity is the Pearson correlation over co-observed rows (minimum
-    overlap 3, otherwise the pair is ignored).  Transferred values are
+    overlap 3, otherwise the pair is ignored); k is ``cfg.k_neighbors``, and
+    a cell with no neighbour takes its column mean.  Transferred values are
     shifted by the pairwise co-observed column means so a duplicate column
     reproduces its twin exactly.  With ``cfg.backend == "knn2"`` the missing
-    cells are then re-imputed from the k closest samples of the filled
-    matrix.
+    cells are then re-imputed from at most k (and n - 1) closest samples of
+    the filled matrix.
     """
     cfg = cfg or ImputerConfig(backend="knn")
-    check_shape("knn", cfg, d.n, d.p)
-    k = cfg.k_neighbors
+    k = min(cfg.k_neighbors, d.p)
     obs = d.mask.astype(float)
     yz = np.where(d.mask == 1, d.y_obs, 0.0)
     counts, mean_a, sim = _pairwise_stats(obs, yz)
@@ -327,7 +316,7 @@ def impute_knn(d: Dataset, cfg: ImputerConfig = None) -> ImputedMatrix:
         unit = centered / norms[:, None]
         rowsim = unit @ unit.T
         np.fill_diagonal(rowsim, -np.inf)
-        kk = min(k, d.n - 1)
+        kk = min(cfg.k_neighbors, d.n - 1)
         near = _top_k(rowsim, kk).astype(float)
         nu = np.where(d.mask == 1, nu, (near @ filled) / kk)
 

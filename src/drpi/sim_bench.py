@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import dr_inference, imputers, multiple_testing
+from . import dr_inference, multiple_testing
 from .data_model import Dataset, MethodKind, _read_table, _write_csv
 from .dr_inference import InferenceConfig
 from .errors import DataError, NumericalError
@@ -271,17 +271,16 @@ def run_benchmark(
     Each repetition owns a seed substream derived from (seed, rep), so the
     result is identical for any thread count.  A ``cov_csv`` covariance is
     factored once and shared read-only; AR(1) noise needs no factor.  A
-    covariance that cannot be used and a shape the imputer cannot fit are
-    refused before any repetition runs; a repetition that raises DataError or NumericalError is recorded
-    in ``failed_reps``, with threads as without.
+    covariance that cannot be used is refused before any repetition runs; an
+    imputer size setting above n or p is a cap, not a refusal.  A repetition
+    that raises DataError or NumericalError is recorded in ``failed_reps``,
+    with threads as without.
     """
     if threads < 0:
         raise DataError(f"threads must be >= 0, got {threads}")
     methods = tuple(methods)
     _refuse_repeats("method", [m.value for m in methods])
     inf_cfg = inf_cfg or InferenceConfig(target="a")
-    if any(dr_inference._METHODS[m].nu == "imputer" for m in methods):
-        imputers.check_shape(inf_cfg.imputer.backend, inf_cfg.imputer, cfg.n, cfg.p)
     chol = _noise_factor(cfg)
 
     def work(rep):

@@ -154,27 +154,34 @@ def test_out_of_range_propensity_setting_exits_2(flag, value, csv_pair, tmp_path
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag,value,field", [
-    ("--imputer-rank", "-1", "max_rank"), ("--alpha", "1.5", "alpha"), ("--alpha", "0", "alpha"),
-    ("--obs-threshold", "-0.5", "--obs-threshold must be in [0, 1]"),
-    ("--feed-threshold", "7", "--feed-threshold must be in [0, 1]"),
-    ("--feed-threshold", "-3", "--feed-threshold must be in [0, 1]"),
-    ("--feed-threshold", "0.9",
+@pytest.mark.parametrize("flags,field", [
+    (("--imputer-rank=-1",), "max_rank"), (("--alpha=1.5",), "alpha"), (("--alpha=0",), "alpha"),
+    (("--obs-threshold=-0.5",), "--obs-threshold must be in [0, 1]"),
+    (("--feed-threshold=7",), "--feed-threshold must be in [0, 1]"),
+    (("--feed-threshold=-3",), "--feed-threshold must be in [0, 1]"),
+    (("--feed-threshold=0.9",),
      "--feed-threshold has no effect without a positive --obs-threshold"),
-    ("--imputer", "external", "--external-nu and --imputer external"),
+    (("--obs-threshold=0.7", "--feed-threshold=0.1", "--method=dr_w"),
+     "--feed-threshold has no effect with --method dr_w"),
+    (("--obs-threshold=0.7", "--feed-threshold=0.1", "--method=complete"),
+     "--feed-threshold has no effect with --method complete"),
+    (("--obs-threshold=0.7", "--feed-threshold=0.1", "--cross-fit=5"),
+     "--feed-threshold has no effect with --cross-fit 5"),
+    (("--imputer=external",), "--external-nu and --imputer external"),
 ])
-def test_out_of_range_flag_exits_2_before_reading_csvs(flag, value, field, tmp_path, capsys):
+def test_out_of_range_flag_exits_2_before_reading_csvs(flags, field, tmp_path, capsys):
     """A negative rank cap would silently lift the cap, an alpha outside
     (0, 1) would only fail after the whole analysis, an observation-rate
     threshold outside [0, 1] would be ignored, as would a feed threshold
-    without an observation threshold, and the external imputer
+    without an observation threshold or with a method or cross-fitting
+    that fits no imputer on the feed set, and the external imputer
     needs its --external-nu file; each is refused before the inputs, which
     do not exist here, are opened."""
     out = tmp_path / "out.csv"
     code = run_cli(
         "analyze", "--outcomes", str(tmp_path / "nope.csv"),
         "--covariates", str(tmp_path / "nope2.csv"), "--target", "a",
-        f"{flag}={value}", "--out", str(out), "--quiet",
+        *flags, "--out", str(out), "--quiet",
     )
     assert code == 2
     err = capsys.readouterr().err
@@ -241,11 +248,6 @@ def test_external_nu_without_external_imputer_exits_2(csv_pair, tmp_path, capsys
     (("simulate", "--n", "40", "--p", "0"), "p must be >= 1"),
     (("simulate", "--n", "3", "--p", "5"), "need n > q"),
     (("simulate", "--model", "1", "--n", "2", "--p", "5"), "need n > q"),
-    (("simulate", "--n", "40", "--p", "20", "--imputer", "knn", "--imputer-k", "30"),
-     "k_neighbors"),
-    (("simulate", "--n", "40", "--p", "20", "--imputer", "knn2", "--imputer-k", "20"),
-     "k_neighbors"),
-    (("simulate", "--n", "40", "--p", "5"), "max_rank exceeds min(n, p)"),
     (("simulate", "--n", "40", "--p", "10", "--methods", "dr_w,dr_uw,dr_w"),
      "method 'dr_w' given more than once"),
     (("simulate", "--n", "40", "--p", "10", "--cutoffs", "0.05,0.1,0.05"),
@@ -257,8 +259,7 @@ def test_empty_or_out_of_range_run_exits_2(argv, field, tmp_path, capsys, monkey
     refused before any repetition runs.  So is a list flag with a token
     that does not parse, or a rho grid whose step is not positive, with a
     message that names it, and a shape that would fail every repetition:
-    no columns, no more samples than covariates, or too few columns for
-    the imputer's neighbour count or rank cap.  A method or cutoff given
+    no columns or no more samples than covariates.  A method or cutoff given
     twice would score each repetition twice, so it is refused by name."""
     monkeypatch.setattr(sim_bench, "_run_rep", lambda *a: pytest.fail("a repetition ran"))
     out = tmp_path / "out.csv"
@@ -384,6 +385,23 @@ def test_quiet_and_log_level_apply_on_every_call(order, csv_pair, tmp_path, caps
             assert ("INFO drpi:" in err) == (flag == "default"), (order, flag, err)
 
 
+@pytest.mark.parametrize("level,code", [
+    ("WARNING", 0), ("Debug", 0), ("verbose", 1), ("basic_format", 1), ("", 1),
+])
+def test_log_level_is_a_case_insensitive_choice(level, code, csv_pair, tmp_path, capsys):
+    """A level name in any case sets the level; any other value, even a
+    ``logging`` attribute that is not a level, is a usage error."""
+    with _fresh_process_logging():
+        assert run_cli(
+            "analyze", "--outcomes", str(csv_pair[0]), "--covariates", str(csv_pair[1]),
+            "--target", "a", "--imputer", "lowdim", "--out", str(tmp_path / "o.csv"),
+            f"--log-level={level}",
+        ) == code
+        err = capsys.readouterr().err
+    assert ("INFO drpi:" in err) == (level == "Debug")
+    assert ("--log-level" in err) == (code == 1)
+
+
 def test_analyze_deterministic_output(csv_pair, tmp_path):
     args = lambda out: [
         "analyze",
@@ -443,6 +461,25 @@ def test_analyze_logs_kept_columns_out_of_the_loaded_ones(tmp_path, caplog):
         )
     assert code == 0
     assert "kept 1/10 columns for inference" in caplog.messages
+
+
+def test_default_imputer_sizes_run_on_narrow_inputs(tmp_path, monkeypatch):
+    """The default neighbour count 10 on the 10 fixture columns, and the
+    default rank cap 10 on a one-column feed set or 5 simulated columns,
+    are caps: each run succeeds, and knn with k = 10 writes what k = 9
+    does."""
+    fixture = ["analyze", "--outcomes", str(ROOT / "fixtures" / "outcomes.csv"),
+               "--covariates", str(ROOT / "fixtures" / "covariates.csv"), "--target", "a",
+               "--quiet"]
+    knn, knn9, narrow = (tmp_path / f"{name}.csv" for name in ("knn", "knn9", "narrow"))
+    assert run_cli(*fixture, "--imputer", "knn", "--out", str(knn)) == 0
+    assert run_cli(*fixture, "--imputer", "knn", "--imputer-k", "9", "--out", str(knn9)) == 0
+    assert knn.read_bytes() == knn9.read_bytes()
+    assert run_cli(*fixture, "--obs-threshold", "0.9", "--feed-threshold", "0.9",
+                   "--out", str(narrow)) == 0
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("simulate", "--n", "40", "--p", "5", "--reps", "2", "--out", "sim.csv",
+                   "--quiet") == 0
 
 
 @pytest.mark.parametrize("threshold", [None, "0.5"])

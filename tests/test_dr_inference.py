@@ -291,6 +291,24 @@ def test_unknown_target_is_refused_before_any_nuisance_fit(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("backend", ["mean", "lowdim", "soft", "knn", "knn2"])
+def test_dr_uw_runs_on_one_column_with_default_imputer_sizes(backend):
+    """The rank cap and neighbour count exceed p = 1 and are caps, not
+    refusals: knn has no other column and takes the column mean."""
+    rng = np.random.default_rng(15)
+    n = 60
+    a = rng.integers(0, 2, size=n).astype(float)
+    y = (0.5 * a + rng.normal(size=n))[:, None]
+    mask = (rng.random((n, 1)) > 0.3).astype(np.int8)
+    d = make_dataset(y, mask, np.column_stack([np.ones(n), a]), covariate_names=("intercept", "a"))
+    fit = lambda b: infer_columns(d, MethodKind.DR_UW, InferenceConfig(
+        target="a", imputer=ImputerConfig(backend=b)))
+    res = fit(backend)
+    assert res.kept.all() and np.isfinite(res.beta).all()
+    if backend == "knn":
+        np.testing.assert_array_equal(res.beta, fit("mean").beta)
+
+
 # ------------------------------------------------------ cross-fitting
 
 

@@ -335,10 +335,10 @@ def test_knn_no_valid_overlap_falls_back_to_mean():
     )  # zero co-observed rows
     w = np.ones((n, 1))
     d = make_dataset(y, mask, w, covariate_names=("intercept",))
-    with pytest.raises(DataError):
-        impute_knn(d, ImputerConfig(backend="knn", k_neighbors=2))  # k >= p
     nu = impute_knn(d, ImputerConfig(backend="knn", k_neighbors=1)).nu_hat
     np.testing.assert_allclose(nu[:, 0], y[:3, 0].mean())
+    capped = impute_knn(d, ImputerConfig(backend="knn", k_neighbors=2)).nu_hat  # k = p
+    np.testing.assert_array_equal(capped, nu)
 
 
 def test_knn_two_step_fills_missing_from_samples():
@@ -346,6 +346,42 @@ def test_knn_two_step_fills_missing_from_samples():
     d = rand_dataset(rng, n=15, p=6, miss=0.2)
     nu = impute_knn(d, ImputerConfig(backend="knn2", k_neighbors=3)).nu_hat
     assert np.isfinite(nu).all()
+
+
+# ------------------------------------------------------- size settings are caps
+
+
+def test_soft_rank_cap_above_p_keeps_p_components():
+    """The default rank cap of 10 on 5 columns keeps at most 5 components,
+    exactly as a cap of 5 does."""
+    d = rand_dataset(np.random.default_rng(12), n=30, p=5)
+    got = impute_soft(d)
+    want = impute_soft(d, ImputerConfig(backend="soft", max_rank=5))
+    np.testing.assert_array_equal(got.nu_hat, want.nu_hat)
+    assert got.diagnostics == want.diagnostics
+
+
+def test_knn_neighbour_count_above_p_selects_every_other_column():
+    """A column is never its own neighbour, so k = 10 on 5 columns averages
+    the other 4, exactly as k = 4 does."""
+    d = rand_dataset(np.random.default_rng(13), n=30, p=5)
+    got = impute_knn(d, ImputerConfig(backend="knn", k_neighbors=10)).nu_hat
+    want = impute_knn(d, ImputerConfig(backend="knn", k_neighbors=4)).nu_hat
+    np.testing.assert_array_equal(got, want)
+
+
+def test_knn2_row_pass_keeps_its_own_neighbour_count():
+    """The column pass caps k = 10 at p = 5, but the row pass still averages
+    the 10 most correlated of the other n - 1 = 59 samples."""
+    d = rand_dataset(np.random.default_rng(14), n=60, p=5)
+    nu = impute_knn(d, ImputerConfig(backend="knn2", k_neighbors=10)).nu_hat
+    cols = impute_knn(d, ImputerConfig(backend="knn", k_neighbors=10)).nu_hat
+    filled = np.where(d.mask == 1, d.y_obs, cols)
+    sim = np.corrcoef(filled)
+    np.fill_diagonal(sim, -np.inf)
+    near = np.argsort(-sim, axis=1, kind="stable")[:, :10]
+    want = np.where(d.mask == 1, cols, filled[near].mean(axis=1))
+    np.testing.assert_allclose(nu, want, rtol=1e-12, atol=1e-12)
 
 
 # ------------------------------------------------------- shared invariants
