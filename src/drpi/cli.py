@@ -343,30 +343,25 @@ def parse_and_dispatch(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(argv)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_apply_config_file(argv))
+        if args.subcommand is None:
+            parser.print_usage(sys.stderr)
+            return 1
+        # basicConfig installs the stderr handler once per process; the level is
+        # set on drpi's own logger so every call's --quiet/--log-level applies
+        logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
+        log.setLevel(logging.ERROR if args.quiet else args.log_level.upper())
+        handler = {
+            "analyze": _cmd_analyze,
+            "simulate": _cmd_simulate,
+            "toy-power": _cmd_toy_power,
+        }[args.subcommand]
+        _keep_freed_memory()
+        return handler(args)
     except _UsageError as exc:
         print(f"drpi: error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, OSError) as exc:  # an unreadable or bad --config, a bad list-flag value
-        print(f"drpi: data error: {exc}", file=sys.stderr)
-        return 2
-    if args.subcommand is None:
-        parser.print_usage(sys.stderr)
-        return 1
-    # basicConfig installs the stderr handler once per process; the level is
-    # set on drpi's own logger so every call's --quiet/--log-level applies
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s")
-    log.setLevel(logging.ERROR if args.quiet else args.log_level.upper())
-    handler = {
-        "analyze": _cmd_analyze,
-        "simulate": _cmd_simulate,
-        "toy-power": _cmd_toy_power,
-    }[args.subcommand]
-    _keep_freed_memory()
-    try:
-        return handler(args)
-    except (DataError, OSError) as exc:
+    except (DataError, OSError) as exc:  # a bad --config or flag value, or the run's own data
         print(f"drpi: data error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, np.linalg.LinAlgError) as exc:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice, repeat
@@ -228,33 +229,17 @@ def _parse_block(rows, names, what: str, missing, start: int) -> tuple:
     return values, observed
 
 
-@dataclass(frozen=True)
-class _Table:
-    """A parsed CSV: its header (column indexes if it has none), its body
-    row count, and either its (n, p) values and observed mask or the first
-    cell fault, which ``parsed`` raises."""
-
-    names: Sequence
-    n: int
-    values: np.ndarray = None
-    observed: np.ndarray = None
-    fault: DataError = None
-
-    def parsed(self) -> tuple:
-        if self.fault is not None:
-            raise self.fault
-        return self.values, self.observed
-
-
-def _read_table(path, what: str, missing=(), header: bool = True) -> _Table:
-    """The CSV file ``path`` as a ``_Table``, read in one pass.
+def _read_table(path, what: str, missing=(), header: bool = True) -> tuple:
+    """(names, values, observed) of the CSV file ``path``, read in one pass:
+    its header (column indexes if it has none) and its body's (n, p)
+    values and observed mask.
 
     Each block of at most ``_BLOCK_CELLS`` cells (one row if a row is
     wider) is converted to floats before the next is read, so no more
-    than a block of cells is ever held as strings. A cell fault is kept,
-    not raised, and the rest of the file is still read: the caller checks
-    the file's shape before it asks for the values. Without a ``header``
-    the columns are named by index and blank lines are skipped.
+    than a block of cells is ever held as strings. A cell fault is raised
+    once the rest of the file has been read, so that a decode or quoting
+    error anywhere in the file comes first. Without a ``header`` the
+    columns are named by index and blank lines are skipped.
     """
     rows = _csv_rows(path)
     names = next(rows, None)
@@ -267,34 +252,29 @@ def _read_table(path, what: str, missing=(), header: bool = True) -> _Table:
         names = range(len(first))
     step = max(1, _BLOCK_CELLS // max(len(names), 1))
     # an empty first block, so that a file without body rows concatenates
-    n, fault, values, observed = 0, None, [np.empty(0)], [np.empty(0, bool)]
+    n, values, observed = 0, [np.empty(0)], [np.empty(0, bool)]
     for block in iter(lambda: list(islice(rows, step)), []):
-        if fault is None:
-            try:
-                v, o = _parse_block(block, names, what, missing, n)
-                values.append(v)
-                observed.append(o)
-            except DataError as exc:
-                fault = exc
+        try:
+            v, o = _parse_block(block, names, what, missing, n)
+        except DataError:
+            deque(rows, maxlen=0)  # read to the end
+            raise
+        values.append(v)
+        observed.append(o)
         n += len(block)
-    if fault is not None:
-        return _Table(names, n, fault=fault)
     shape = (n, len(names))
-    return _Table(
-        names, n, np.concatenate(values).reshape(shape), np.concatenate(observed).reshape(shape)
-    )
+    return names, np.concatenate(values).reshape(shape), np.concatenate(observed).reshape(shape)
 
 
 def _read_matrix(path, ids, n: int, what: str) -> np.ndarray:
     """(n, len(ids)) float array from a CSV whose header must be ``ids``."""
-    table = _read_table(path, what)
-    p = len(ids)
-    if len(table.names) != p or table.n != n:
-        raise DataError(f"{what} is {table.n}x{len(table.names)}, expected {n}x{p}")
-    for got, want in zip(table.names, ids):
+    names, values, _ = _read_table(path, what)
+    if values.shape != (n, len(ids)):
+        raise DataError(f"{what} is {len(values)}x{len(names)}, expected {n}x{len(ids)}")
+    for got, want in zip(names, ids):
         if got != want:
             raise DataError(f"{what} header has {got!r} where {want!r} is expected")
-    return table.parsed()[0]
+    return values
 
 
 def _write_rows(path, header, rows):
@@ -329,21 +309,16 @@ def load_dataset(
     CSV of 0/1 entries, with the outcome CSV's header, overrides token
     detection.
     """
-    y_table = _read_table(outcome_path, "outcome", {"", missing_token})
-    w_table = _read_table(covariate_path, "covariate")
-    if y_table.n != w_table.n:
-        raise DataError(
-            f"row count mismatch: {y_table.n} outcome rows vs "
-            f"{w_table.n} covariate rows"
-        )
-    n, pep_ids, cov_names = y_table.n, y_table.names, w_table.names
-    y, observed = y_table.parsed()
+    pep_ids, y, observed = _read_table(outcome_path, "outcome", {"", missing_token})
+    cov_names, w, _ = _read_table(covariate_path, "covariate")
+    n = len(y)
+    if n != len(w):
+        raise DataError(f"row count mismatch: {n} outcome rows vs {len(w)} covariate rows")
     mask = observed.astype(np.int8)
     if mask_path is not None:
         mask = _read_matrix(mask_path, pep_ids, n, "mask CSV")
         y[mask == 0] = np.nan
 
-    w = w_table.parsed()[0]
     names = list(cov_names)
     if add_intercept:
         w = np.column_stack([np.ones(n), w])

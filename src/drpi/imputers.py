@@ -98,7 +98,7 @@ def _row_fit(d: Dataset, backend: str, train=None, at=None):
     # a column copy even if every column fits: pinned full-sample outputs round in its F order
     y, obs = d.y_obs[rows][:, ~few], mask[:, ~few]
     y[obs == 0] = 0.0  # in place, keeping that order
-    coef = _masked_least_squares(d.w[rows], y, obs, inverse=False)[0]
+    coef = _masked_least_squares(d.w[rows], y, obs)[0]
     nu = np.empty((len(w_at), d.p))
     nu[:, ~few] = w_at @ coef.T
     if few.any():  # warns about all-missing columns, before the rest below
@@ -281,7 +281,8 @@ def impute_knn(d: Dataset, cfg: ImputerConfig = None) -> ImputedMatrix:
     shifted by the pairwise co-observed column means so a duplicate column
     reproduces its twin exactly.  With ``cfg.backend == "knn2"`` the missing
     cells are then re-imputed from at most k (and n - 1) closest samples of
-    the filled matrix.
+    the filled matrix; a sample that is constant there is no one's
+    neighbour, and a row without a neighbour keeps its knn fill.
     """
     cfg = cfg or ImputerConfig(backend="knn")
     k = min(cfg.k_neighbors, d.p)
@@ -312,13 +313,19 @@ def impute_knn(d: Dataset, cfg: ImputerConfig = None) -> ImputedMatrix:
         filled = np.where(d.mask == 1, d.y_obs, nu)
         centered = filled - filled.mean(axis=1, keepdims=True)
         norms = np.linalg.norm(centered, axis=1)
-        norms[norms == 0] = 1.0
+        flat = norms == 0
+        norms[flat] = 1.0
         unit = centered / norms[:, None]
         rowsim = unit @ unit.T
+        # a constant row has no direction: it neither has nor is a neighbour
+        rowsim[flat] = -np.inf
+        rowsim[:, flat] = -np.inf
         np.fill_diagonal(rowsim, -np.inf)
         kk = min(cfg.k_neighbors, d.n - 1)
         near = _top_k(rowsim, kk).astype(float)
-        nu = np.where(d.mask == 1, nu, (near @ filled) / kk)
+        got = near.sum(axis=1, keepdims=True)  # kk while no row is constant
+        refill = (near @ filled) / np.maximum(got, 1.0)
+        nu = np.where((d.mask == 1) | (got == 0), nu, refill)
 
     return ImputedMatrix(nu, backend=backend)
 

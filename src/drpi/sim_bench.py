@@ -84,7 +84,7 @@ class SimTruth:
 
 def load_cov_csv(path) -> np.ndarray:
     """Square matrix from a headerless CSV; blank lines are skipped."""
-    m = _read_table(path, "covariance CSV", header=False).parsed()[0]
+    m = _read_table(path, "covariance CSV", header=False)[1]
     if m.size == 0 or m.shape[0] != m.shape[1]:
         raise DataError("covariance CSV must be square")
     return m

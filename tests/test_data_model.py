@@ -90,6 +90,8 @@ def test_non_numeric_cell_errors(tmp_path):
     ("1,2\n3,x \n5\n7,8\n", "non-numeric outcome cell at row 1, column 'b': 'x'"),
     ("1,2\n3\n5,x\n7,8\n", "outcome row 1 has 1 cells, expected 2"),
     ("1,2\n3,4\n5,6\n7,8,9\n", "outcome row 3 has 3 cells, expected 2"),
+    # a trailing blank line is named, not counted against the covariate rows
+    ("1,2\n3,4\n5,6\n7,8\n\n", "outcome row 4 has 0 cells, expected 2"),
 ])
 def test_outcome_csv_faults_reported_in_row_order(tmp_path, rows, message):
     out = tmp_path / "y.csv"
@@ -125,6 +127,7 @@ CSV_FAULTS = [
     ("covariate", "x\n0\n1,3\n2\n", "covariate row 1 has 2 cells, expected 1"),
     ("mask", "a,b\n1,1\n1,y\n1,1\n", "non-numeric mask CSV cell at row 1, column 'b': 'y'"),
     ("mask", "a,b\n1,1\n1\n1,1\n", "mask CSV row 1 has 1 cells, expected 2"),
+    ("mask", "a,b\n1,1\n1,0\n1,1\n\n", "mask CSV row 3 has 0 cells, expected 2"),
     ("external", "a,b\n1,1\n,1\n1,1\n",
      "non-numeric external matrix cell at row 1, column 'a': ''"),
     ("external", "a,b\n1,1\n1,1\n1,1,1\n", "external matrix row 2 has 3 cells, expected 2"),
@@ -157,25 +160,25 @@ def test_csv_faults_share_one_format_across_blocks(
 @pytest.mark.parametrize("block_cells", [1, 2**15])
 @pytest.mark.parametrize("faults,outcome,covariate,mask,message", [
     ("outcome cell, row count", "a,b\n1,2\n3,x\n", "x\n0\n1\n2\n", None,
-     "row count mismatch: 2 outcome rows vs 3 covariate rows"),
+     "non-numeric outcome cell at row 1, column 'b': 'x'"),
     ("covariate cell, row count", "a,b\n1,2\n3,4\n", "x\n0\nz\n2\n", None,
-     "row count mismatch: 2 outcome rows vs 3 covariate rows"),
+     "non-numeric covariate cell at row 1, column 'x': 'z'"),
     ("outcome cell, covariate cell", "a,b\n1,2\n3,x\n5,6\n", "x\n0\nz\n2\n", None,
      "non-numeric outcome cell at row 1, column 'b': 'x'"),
     ("covariate cell, mask cell", "a,b\n1,2\n3,4\n5,6\n", "x\n0\nz\n2\n",
-     "a,b\n1,1\n1,y\n1,1\n", "non-numeric mask CSV cell at row 1, column 'b': 'y'"),
+     "a,b\n1,1\n1,y\n1,1\n", "non-numeric covariate cell at row 1, column 'x': 'z'"),
     ("mask cell, mask rows", "a,b\n1,2\n3,4\n5,6\n", "x\n0\n1\n2\n",
-     "a,b\n1,y\n1,1\n", "mask CSV is 2x2, expected 3x2"),
+     "a,b\n1,y\n1,1\n", "non-numeric mask CSV cell at row 0, column 'b': 'y'"),
     ("mask cell, mask header", "a,b\n1,2\n3,4\n5,6\n", "x\n0\n1\n2\n",
-     "a,c\n1,y\n1,1\n1,1\n", "mask CSV header has 'c' where 'b' is expected"),
+     "a,c\n1,y\n1,1\n1,1\n", "non-numeric mask CSV cell at row 0, column 'c': 'y'"),
 ])
 def test_two_csv_faults_reported_in_load_order(
     monkeypatch, tmp_path, faults, outcome, covariate, mask, message, block_cells
 ):
     """A file pair with two faults reports the one the load reaches first:
-    both files' sizes, then the outcome cells, then the mask (its shape,
-    header, then cells), then the covariate cells, however the files are
-    split into blocks."""
+    the outcome file's own fault, the covariate file's, the row counts,
+    then the mask's own fault, its shape and its header, however the files
+    are split into blocks."""
     monkeypatch.setattr(data_model, "_BLOCK_CELLS", block_cells)
     paths = {}
     for name, text in (("y", outcome), ("w", covariate), ("m", mask)):
@@ -443,8 +446,7 @@ READER_CASES = {
 
 
 def _table(path, missing):
-    table = _read_table(path, "outcome", missing)
-    return (table.names, *table.parsed())
+    return _read_table(path, "outcome", missing)
 
 
 def _reference_table(path, missing):

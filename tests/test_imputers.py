@@ -384,6 +384,20 @@ def test_knn2_row_pass_keeps_its_own_neighbour_count():
     np.testing.assert_allclose(nu, want, rtol=1e-12, atol=1e-12)
 
 
+def test_knn2_constant_rows_are_no_ones_neighbours():
+    """At p = 1 every filled row is constant, so no sample has a direction
+    to compare: knn2 keeps knn's fill, the column mean, instead of the
+    first k rows' mean."""
+    y = np.arange(30.0)[:, None] % 3 / 10 + np.where(np.arange(30) >= 15, 5.0, 0.0)[:, None]
+    mask = np.ones((30, 1), dtype=np.int8)
+    mask[[20, 25]] = 0
+    d = make_dataset(y, mask, np.ones((30, 1)), covariate_names=("intercept",))
+    got = impute_knn(d, ImputerConfig(backend="knn2", k_neighbors=10)).nu_hat
+    want = impute_knn(d, ImputerConfig(backend="knn", k_neighbors=10)).nu_hat
+    np.testing.assert_array_equal(got, want)
+    assert got[20, 0] == y[mask[:, 0] == 1, 0].mean()
+
+
 # ------------------------------------------------------- shared invariants
 
 
