@@ -258,9 +258,8 @@ def infer_methods(
     mask) are fitted on every row, or with ``folds`` = K (DR methods,
     row-predictive imputers) cross-fitted: each row's nu and delta come from
     fits on the other K - 1 folds.  Skipped are all-missing columns, columns
-    too sparse on a fold's training rows, complete-case fits with too few
-    rows or a singular design and DR fits of a column whose propensity IRLS
-    diverged.
+    too sparse on a fold's training rows and complete-case fits with too few
+    rows or a singular design.
     """
     specs = {m: _METHODS[m] for m in methods}
     tcol = d.covariate_index(cfg.target)
@@ -288,7 +287,6 @@ def infer_methods(
 
     nus = {"oracle": oracle, "zero": 0.0}  # nu source -> its (n, p) nu
     delta = None
-    diverged = np.zeros(d.p, dtype=bool)
     few = {}  # nu source -> (p,) too few observed training rows
     for train, test in row_sets:
         fits, prop_k = _nuisances(d, specs.values(), cfg, nu_hat, prop, train, test)
@@ -297,9 +295,6 @@ def infer_methods(
             few[source] = few.get(source, False) | fit.diagnostics.get("too_few", False)
         if prop_k is not None:
             delta = _at_rows(delta, test, prop_k.delta_hat)
-            diverged = diverged | prop_k.diverged
-    if diverged.any():  # NaN there; the DR methods skip those columns
-        delta = np.where(diverged, 1.0, delta)
 
     groups = {}  # (complete-case, variance mode) -> its methods, in order
     for m, spec in specs.items():
@@ -334,8 +329,6 @@ def infer_methods(
             spec = specs[m]
             reasons = np.full(d.p, "", dtype=object)
             reasons[few.get(spec.nu, False)] = "too few observed training rows"
-            if spec.fitted_delta:
-                reasons[diverged] = "propensity IRLS diverged"
             if complete:
                 rows = d.mask.sum(axis=0)
                 reasons[singular[block]] = "singular complete-case design"

@@ -14,4 +14,4 @@ class DataError(DrpiError):
 
 
 class NumericalError(DrpiError):
-    """A numerical procedure failed (divergence, singularity, ...)."""
+    """A numerical procedure failed: a singular W'W in ``ols_sandwich``."""

@@ -33,10 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import _constant_columns, _solve_or_pinv
-from .errors import DataError, NumericalError
+from .errors import DataError
 
-# a coefficient norm beyond this is reported as IRLS divergence
-DIVERGENCE_NORM = 1e6
 STEP_HALVINGS = 50
 
 
@@ -108,18 +106,16 @@ class PropensityColumns:
 
     ``delta_hat``, ``clipped_frac`` and ``min_delta`` describe the rows the
     fit was evaluated at (``fit_logistic_columns``'s ``at``): its own n rows
-    unless given.  Columns whose IRLS diverged have ``diverged``
-    set, NaN coefficients and NaN fitted probabilities.
+    unless given.
     """
 
     coef: np.ndarray  # (p, q)
     delta_hat: np.ndarray  # (m, p) at the evaluated rows, clipped to [clip_floor, 1]
     clip_floor: float
-    converged: np.ndarray  # (p,) bool
+    converged: np.ndarray  # (p,) bool: False only when max_iter ran out
     iterations: np.ndarray  # (p,) int
     separated: np.ndarray  # (p,) bool: constant column, constant fit
     constant_value: np.ndarray  # (p,) the constant of a separated column
-    diverged: np.ndarray  # (p,) bool
 
     @property
     def clipped_frac(self) -> np.ndarray:
@@ -129,7 +125,7 @@ class PropensityColumns:
 
     @property
     def min_delta(self) -> np.ndarray:
-        """(p,) smallest delta_hat of each column; NaN where IRLS diverged."""
+        """(p,) smallest delta_hat of each column."""
         return self.delta_hat.min(axis=0)
 
     def column(self, j: int) -> PropensityFit:
@@ -158,8 +154,10 @@ def fit_logistic_columns(
     when its score max-norm drops below tol; when the step's predicted
     log-likelihood gain (its Newton decrement), or failing that its actual
     gain, is at most tol relative to the log-likelihood; or when no
-    step-halving of the Newton step raises the log-likelihood.  Fitted
-    probabilities are clipped to [clip_floor, 1] so inverse-propensity
+    step-halving of the Newton step raises it (a NaN counts as lower).  A
+    column that W separates has no MLE and stops when its gain stalls, in
+    any units of W, with probabilities at clip_floor (``clipped_frac``).
+    Fitted probabilities are clipped to [clip_floor, 1] so inverse-propensity
     weights stay bounded.  A constant column gets a constant-propensity fit
     with ``separated`` set, so fully observed columns flow through the same
     pipeline.
@@ -187,7 +185,6 @@ def fit_logistic_columns(
     coef = np.zeros((p, q))
     converged = separated.copy()
     iterations = np.zeros(p, dtype=int)
-    diverged = np.zeros(p, dtype=bool)
 
     wt = np.ascontiguousarray(w.T)
     iu, ju = np.triu_indices(q)
@@ -229,7 +226,7 @@ def fit_logistic_columns(
         every = search.size == cols.size  # then search is every active column, in order
         cand = beta + step if every else beta[search] + step[search]
         prob_new, ll_new = _prob_loglik(ct if every else ct[search], _eta(wt, cand))
-        pending = np.flatnonzero(ll_new < (ll if every else ll[search]))
+        pending = np.flatnonzero(~(ll_new >= (ll if every else ll[search])))  # NaN fails too
         stuck = np.zeros(cols.size, dtype=bool)
         moved = search
         if pending.size:
@@ -239,7 +236,7 @@ def fit_logistic_columns(
                 scale[pending] *= 0.5
                 cand[pending] = beta[rows] + scale[pending, None] * step[rows]
                 prob_new[pending], ll_new[pending] = _prob_loglik(ct[rows], _eta(wt, cand[pending]))
-                pending = pending[ll_new[pending] < ll[rows]]
+                pending = pending[~(ll_new[pending] >= ll[rows])]
                 if pending.size == 0:
                     break
             stuck[search[pending]] = True  # no ascent direction left: at the optimum
@@ -251,13 +248,11 @@ def fit_logistic_columns(
         stalled[moved] = ll_new - ll[moved] <= ll_tol[moved]
         ll[moved] = ll_new
 
-        blown = np.linalg.norm(beta, axis=1) > DIVERGENCE_NORM
-        done = flat | small | stuck | stalled | blown
+        done = flat | small | stuck | stalled
         if not done.any():  # every column searched and moved
             prob = prob_new
             continue
-        diverged[cols[blown]] = True
-        converged[cols[done]] = ~blown[done]
+        converged[cols[done]] = True
         coef[cols[done]] = beta[done]
         iterations[cols[done]] = it
         keep = ~done
@@ -266,8 +261,6 @@ def fit_logistic_columns(
         cols, ct, beta, ll = cols[keep], ct[keep], beta[keep], ll[keep]
     coef[cols] = beta  # out of iterations, not converged
     iterations[cols] = max_iter
-
-    coef[diverged] = np.nan
     return PropensityColumns(
         coef=coef,
         delta_hat=_propensity(w if at is None else at, coef, separated, constant, clip_floor),
@@ -276,7 +269,6 @@ def fit_logistic_columns(
         iterations=iterations,
         separated=separated,
         constant_value=constant,
-        diverged=diverged,
     )
 
 
@@ -287,12 +279,6 @@ def fit_logistic(
     max_iter: int = 100,
     clip_floor: float = 0.01,
 ) -> PropensityFit:
-    """One column of ``fit_logistic_columns``; raises NumericalError when
-    its IRLS diverges."""
+    """One column of ``fit_logistic_columns``."""
     c = np.asarray(c, dtype=float)
-    fits = fit_logistic_columns(c[:, None], w, tol, max_iter, clip_floor)
-    if fits.diverged[0]:
-        raise NumericalError(
-            f"IRLS diverged: coefficient norm exceeds {DIVERGENCE_NORM:g}"
-        )
-    return fits.column(0)
+    return fit_logistic_columns(c[:, None], w, tol, max_iter, clip_floor).column(0)

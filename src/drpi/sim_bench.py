@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import dr_inference, multiple_testing
-from .data_model import Dataset, MethodKind, _read_table, _write_csv
+from .data_model import Dataset, MethodKind, _first_repeat, _read_table, _write_csv
 from .dr_inference import InferenceConfig
 from .errors import DataError, NumericalError
 
@@ -26,9 +26,9 @@ MAR_MISS_CAP = 0.5  # P(C=0) = e^x / (2(1+e^x)) stays below 1/2
 def _refuse_repeats(what, values):
     """DataError naming the first value given twice: its results would be
     scored twice, each repetition counted once per copy."""
-    for k, v in enumerate(values):
-        if v in values[:k]:
-            raise DataError(f"{what} {v!r} given more than once")
+    dup = _first_repeat(values)
+    if dup is not None:
+        raise DataError(f"{what} {dup!r} given more than once")
 
 
 @dataclass

@@ -16,7 +16,7 @@ from drpi import imputers, propensity
 from drpi._linalg import _centred
 from drpi.cli import build_parser, parse_and_dispatch
 from drpi.data_model import MethodKind, write_dataset
-from drpi.dr_inference import InferenceConfig, infer_columns
+from drpi.dr_inference import InferenceConfig, infer_columns, infer_methods
 from drpi.imputers import ImputerConfig, impute, impute_knn, impute_lowdim, impute_soft
 from drpi.propensity import fit_logistic, fit_logistic_columns
 from drpi.sim_bench import SimConfig, gen_dataset
@@ -509,12 +509,12 @@ def test_knn2_backend_selects_the_sample_pass():
 # ------------------------------------------------------ per-column failure
 
 
-def _one_diverging_column(rng, n=120, p=6):
-    """Column 2 is observed exactly where x > 1/2, and x is on a 1e-4
-    scale, so its propensity IRLS runs the coefficients past 1e6."""
+def _one_separated_column(rng, n=120, p=6, x_unit=1e-4):
+    """Column 2 is observed exactly where x > 1/2, so x separates it and its
+    propensity has no MLE; x is recorded as ``x_unit`` times a uniform."""
     a = rng.integers(0, 2, size=n).astype(float)
     x = rng.uniform(size=n)
-    w = np.column_stack([np.ones(n), a, 1e-4 * x])
+    w = np.column_stack([np.ones(n), a, x_unit * x])
     y = np.outer(a, np.linspace(0, 1, p)) + rng.normal(size=(n, p))
     mask = (rng.random((n, p)) < 0.7).astype(np.int8)
     mask[:, 2] = x > 0.5
@@ -524,15 +524,15 @@ def _one_diverging_column(rng, n=120, p=6):
 def test_fold_fit_evaluates_held_out_rows_as_its_own_coefficients_do():
     """``at=`` gives the held-out rows' delta_hat that the fold's own fit
     gives through ``_propensity``, bit for bit, on uneven folds (n = 203,
-    K = 5), with a column whose IRLS diverges and a column constant on one
+    K = 5), with a column that x separates and a column constant on one
     training fold; and ``at`` leaves the fit itself unchanged."""
-    d = _one_diverging_column(np.random.default_rng(0), n=203)
+    d = _one_separated_column(np.random.default_rng(0), n=203)
     folds = 5
     fold_of = np.empty(d.n, dtype=int)
     fold_of[np.random.default_rng(0).permutation(d.n)] = np.arange(d.n) % folds
     c = d.mask.copy()
     c[:, 4] = fold_of != 0  # observed on every row but fold 0's
-    separated, diverged, rows = [], [], set()
+    separated, rows = [], set()
     for k in range(folds):
         train, test = fold_of != k, fold_of == k
         fit = fit_logistic_columns(c[train], d.w[train], at=d.w[test])
@@ -542,13 +542,11 @@ def test_fold_fit_evaluates_held_out_rows_as_its_own_coefficients_do():
         )
         assert fit.delta_hat.shape == (test.sum(), d.p)
         np.testing.assert_array_equal(fit.delta_hat, want)
-        for name in ("coef", "iterations", "converged", "separated", "constant_value", "diverged"):
+        for name in ("coef", "iterations", "converged", "separated", "constant_value"):
             np.testing.assert_array_equal(getattr(fit, name), getattr(plain, name))
         separated.append(fit.separated[4])
-        diverged.append(fit.diverged[2])
         rows.add(len(fit.delta_hat))
     assert separated == [True, False, False, False, False]
-    assert all(diverged)
     assert rows == {40, 41}
 
 
@@ -559,12 +557,13 @@ def _assert_kept_match(res, alone):
         assert getattr(res, name)[res.kept] == pytest.approx(getattr(alone, name), rel=1e-12)
 
 
-def test_irls_divergence_skips_only_that_column(tmp_path):
-    d = _one_diverging_column(np.random.default_rng(0))
-    assert fit_logistic_columns(d.mask, d.w).diverged.tolist() == [
-        False, False, True, False, False, False
-    ]
-    others = d.select_columns([0, 1, 3, 4, 5])
+def test_small_covariate_unit_skips_no_column(tmp_path):
+    """With x recorded at 1 and at 1e-4 every column is estimated, the one x
+    separates included, and the five columns it does not separate get the
+    same p-values: a propensity fit is judged by its likelihood, in any
+    covariate units."""
+    unit, small = (_one_separated_column(np.random.default_rng(0), x_unit=s) for s in (1.0, 1e-4))
+    others = [0, 1, 3, 4, 5]
     cfg = InferenceConfig(target="a", imputer=ImputerConfig(backend="lowdim"))
     runs = [
         lambda data: infer_columns(data, MethodKind.DR_UW, cfg),
@@ -572,20 +571,35 @@ def test_irls_divergence_skips_only_that_column(tmp_path):
         lambda data: infer_columns(data, MethodKind.DR_UW, cfg, folds=3),
     ]
     for run in runs:
-        res = run(d)
-        assert [d.peptide_ids[j] for j in np.flatnonzero(~res.kept)] == ["p2"]
-        assert "diverged" in res.skip_reason[2]
-        alone = run(others)
-        assert alone.kept.all()
-        _assert_kept_match(res, alone)
+        at_unit, at_small = run(unit), run(small)
+        assert at_unit.kept.all() and at_small.kept.all()
+        np.testing.assert_allclose(
+            at_small.p_value[others], at_unit.p_value[others], rtol=0, atol=1e-12
+        )
 
-    write_dataset(d, tmp_path / "y.csv", tmp_path / "w.csv")
+    write_dataset(small, tmp_path / "y.csv", tmp_path / "w.csv")
     code = parse_and_dispatch([
         "analyze", "--outcomes", str(tmp_path / "y.csv"), "--covariates", str(tmp_path / "w.csv"),
         "--target", "a", "--imputer", "lowdim", "--out", str(tmp_path / "r.csv"), "--quiet",
     ])
     assert code == 0
-    assert "p2" not in (tmp_path / "r.csv").read_text()
+    assert "p2" in (tmp_path / "r.csv").read_text()
+
+
+@pytest.mark.parametrize("x_unit", [1e-7, 1e-6, 1e-3, 1e4])
+def test_dr_inference_is_invariant_to_the_unit_of_x(desk, x_unit):
+    """Model 3 at 200 x 300 with knn nu: with x in any unit the DR methods
+    skip no column, and every p-value is the unit-scale one."""
+    d = desk[0]
+    w = d.w.copy()
+    w[:, 2] *= x_unit
+    cfg = InferenceConfig(target="a", imputer=ImputerConfig(backend="knn"))
+    methods = (MethodKind.DR_W, MethodKind.DR_UW)
+    want = infer_methods(d, methods, cfg)
+    got = infer_methods(replace(d, w=w), methods, cfg)
+    for m in methods:
+        assert got[m].kept.all()
+        np.testing.assert_allclose(got[m].p_value, want[m].p_value, rtol=0, atol=1e-10)
 
 
 def test_singular_complete_case_design_skips_only_that_column():

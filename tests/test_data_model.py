@@ -362,6 +362,36 @@ def test_write_load_round_trip(tmp_path):
     np.testing.assert_array_equal(d2.w, d.w)
 
 
+def _dataset_parts():
+    rng = np.random.default_rng(0)
+    return dict(
+        y_obs=rng.normal(size=(8, 4)),
+        mask=np.ones((8, 4), dtype=np.int8),
+        w=np.column_stack([np.ones(8), rng.normal(size=8)]),
+        peptide_ids=("p0", "p1", "p2", "p3"),
+        sample_ids=tuple(str(i) for i in range(8)),
+        covariate_names=("intercept", "x"),
+    )
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("mask", np.ones((8, 3), dtype=np.int8), r"y_obs shape \(8, 4\) != mask shape \(8, 3\)"),
+    ("w", np.ones((7, 2)), r"covariate rows \(7, 2\) do not match n=8"),
+    ("w", np.ones(8), r"covariate rows \(8,\) do not match n=8"),
+    ("w", np.eye(8), "need n > q, got n=8, q=8"),
+    ("peptide_ids", ("p0", "p1", "p2"), "label counts do not match matrix shape"),
+    ("sample_ids", ("0", "1"), "label counts do not match matrix shape"),
+    ("covariate_names", ("intercept",), "covariate name count does not match q"),
+])
+def test_dataset_refuses_inconsistent_parts(field, value, message):
+    """Each part must agree in shape with y_obs, and W needs fewer columns
+    than rows."""
+    parts = _dataset_parts()
+    Dataset(**parts)
+    with pytest.raises(DataError, match=message):
+        Dataset(**{**parts, field: value})
+
+
 @pytest.mark.parametrize("labels,message", [
     ({"peptide_ids": ("p0", "p1", "p0", "p1")}, "duplicate peptide id 'p0'"),
     ({"covariate_names": ("intercept", "x", "x")}, "duplicate covariate 'x'"),

@@ -6,6 +6,7 @@ import pytest
 from drpi.errors import DataError
 from drpi.imputers import (
     BACKENDS,
+    ImputedMatrix,
     ImputerConfig,
     impute,
     impute_knn,
@@ -251,6 +252,19 @@ def test_external_backend_without_a_file_rejected_at_construction():
     """With no file, every impute call would fail on opening ''."""
     with pytest.raises(DataError, match="external imputer needs external_path"):
         ImputerConfig(backend="external")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_imputed_matrix_refuses_a_non_finite_value(value):
+    nu = np.zeros((3, 2))
+    nu[1, 0] = value
+    with pytest.raises(DataError, match="imputed matrix contains non-finite values"):
+        ImputedMatrix(nu_hat=nu, backend="external")
+
+
+def test_zero_neighbors_rejected():
+    with pytest.raises(DataError, match="k_neighbors must be >= 1"):
+        ImputerConfig(backend="knn", k_neighbors=0)
 
 
 def test_soft_negative_lambda_rejected():

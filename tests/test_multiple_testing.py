@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drpi.errors import DataError
 from drpi.multiple_testing import bh_qvalues, mirror_rate, select
 
 
@@ -26,6 +27,17 @@ def test_bh_hand_example():
     p = np.array([0.01, 0.02, 0.9])
     q = bh_qvalues(p)
     np.testing.assert_allclose(q, [0.03, 0.03, 0.9])
+
+
+@pytest.mark.parametrize("p,message", [
+    (np.full((2, 3), 0.5), "p_values must be one-dimensional"),
+    ([0.1, -0.01], r"p-values must lie in \[0, 1\]"),
+    ([0.1, 1.5], r"p-values must lie in \[0, 1\]"),
+    ([0.1, np.nan], r"p-values must lie in \[0, 1\]"),
+])
+def test_bh_refuses_a_matrix_or_p_outside_the_unit_interval(p, message):
+    with pytest.raises(DataError, match=message):
+        bh_qvalues(p)
 
 
 def test_bh_single_p():

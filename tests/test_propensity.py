@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from drpi import propensity
 from drpi.errors import DataError
 from drpi.propensity import _prob_loglik, _sigmoid, fit_logistic, fit_logistic_columns
 
@@ -10,6 +11,7 @@ from drpi.propensity import _prob_loglik, _sigmoid, fit_logistic, fit_logistic_c
 def _loglik(c, eta):
     return _prob_loglik(c, eta)[1]
 from drpi.sim_bench import SimConfig, gen_dataset
+from tests import reference_loops as ref
 
 
 def test_all_ones_is_separated_constant_fit():
@@ -201,3 +203,51 @@ def test_clipped_share_flags_limited_overlap():
     assert (fits.clipped_frac[untouched] == 0).all()
     assert (fits.min_delta[untouched] > fits.clip_floor).all()
     np.testing.assert_array_equal(fits.min_delta, fits.delta_hat.min(axis=0))
+
+
+@pytest.mark.parametrize("seed", [37, 40, 50])
+def test_step_halving_on_a_column_observed_once(seed, monkeypatch):
+    """A column observed in 1 of 29 rows overshoots with the full Newton
+    step, so its IRLS halves steps: more log-likelihood evaluations than
+    iterations.  Its fit in a batch is bitwise the one-column fit, and
+    agrees with the reference loop."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(29)
+    c = np.zeros(29)
+    c[rng.integers(29)] = 1.0
+    w = np.column_stack([np.ones(29), x])
+    calls = []
+    kernel = propensity._prob_loglik
+    monkeypatch.setattr(propensity, "_prob_loglik", lambda *a: calls.append(1) or kernel(*a))
+    fit = fit_logistic(c, w)
+    assert fit.converged
+    assert len(calls) > fit.iterations
+    others = (rng.random((29, 4)) < 0.6).astype(float)
+    batch = fit_logistic_columns(np.column_stack([others[:, :2], c, others[:, 2:]]), w)
+    np.testing.assert_array_equal(batch.coef[2], fit.coef)
+    np.testing.assert_array_equal(batch.delta_hat[:, 2], fit.delta_hat)
+    assert batch.iterations[2] == fit.iterations
+    coef, delta_hat = ref.fit_logistic(c, w)
+    np.testing.assert_allclose(fit.coef, coef, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(fit.delta_hat, delta_hat, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 0.0])
+def test_coefficients_stay_finite_in_any_covariate_unit(tol):
+    """Columns that x separates, columns observed in one cell and random
+    columns, with x recorded from 1e-8 to 1e8 times a standard normal, and
+    at 1e300, where x^2 overflows and every Newton step's log-likelihood is
+    NaN: every coefficient is finite, since a step whose log-likelihood is
+    not at least the current one is never taken."""
+    rng = np.random.default_rng(0)
+    n = 30
+    x = rng.standard_normal(n)
+    c = (rng.random((n, 15)) < 0.6).astype(float)
+    c[:, :5] = x[:, None] > np.quantile(x, [0.2, 0.4, 0.5, 0.6, 0.8])
+    c[:, 5:10] = 0.0
+    c[rng.integers(n, size=5), np.arange(5, 10)] = 1.0
+    for x_unit in [*10.0 ** np.arange(-8, 9), 1e300]:
+        with np.errstate(over="ignore", invalid="ignore"):  # x^2 overflows at 1e300
+            fits = fit_logistic_columns(c, np.column_stack([np.ones(n), x_unit * x]), tol=tol)
+        assert np.isfinite(fits.coef).all()
+        assert np.isfinite(fits.delta_hat).all()

@@ -239,6 +239,8 @@ def test_config_validation():
         SimConfig(signal_frac=1.5)
     with pytest.raises(DataError):
         SimConfig(noise_rho=1.0)
+    with pytest.raises(DataError, match=r"mcar_prob must be in \[0, 1\)"):
+        SimConfig(mcar_prob=1.0)
     with pytest.raises(DataError, match="reps"):
         SimConfig(reps=0)
     with pytest.raises(DataError, match="p must be >= 1"):
