@@ -16,7 +16,7 @@ from .data_model import (
     MethodKind, _kept_rows, _write_csv, filter_by_rate, load_dataset, write_results,
 )
 from .dr_inference import InferenceConfig
-from .errors import DataError, NumericalError
+from .errors import DataError
 from .imputers import ImputerConfig
 
 log = logging.getLogger("drpi")
@@ -364,7 +364,7 @@ def parse_and_dispatch(argv=None) -> int:
     except (DataError, OSError) as exc:  # a bad --config or flag value, or the run's own data
         print(f"drpi: data error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:
         print(f"drpi: numerical failure: {exc}", file=sys.stderr)
         return 3
 

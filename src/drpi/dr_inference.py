@@ -19,9 +19,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import imputers, propensity
-from ._linalg import _masked_least_squares, _outer_rows
+from ._linalg import _centred, _normal_equations, _outer_rows, _uncentre
 from .data_model import ColumnInference, Dataset, MethodKind
-from .errors import DataError, NumericalError
+from .errors import DataError
 from .imputers import ImputedMatrix, ImputerConfig
 from .propensity import PropensityColumns
 
@@ -124,8 +124,8 @@ def _augmented(nu_hat, weights, resid, out=None):
 
 
 def _ols_columns(w, y, variance_mode, obs=None):
-    """``_masked_least_squares`` of every column of y (n, p) on w, with its
-    covariance.
+    """Least squares of every column of y (n, p) on w, with its covariance,
+    both formed on ``_centred`` w and mapped back once.
 
     Sandwich: (W'W)^-1 [sum_i r_i^2 w_i w_i'] (W'W)^-1, the plug-in HC0
     covariance.  Homoskedastic: s^2 (W'W)^-1 with s^2 = r'r / (rows - q).
@@ -140,8 +140,9 @@ def _ols_columns(w, y, variance_mode, obs=None):
         raise DataError(f"need n > q, got n={n}, q={q}")
     if variance_mode not in VARIANCE_MODES[1:]:
         raise DataError(f"unknown variance mode {variance_mode!r}")
-    coef, gram_inv, singular = _masked_least_squares(w, y, obs)
-    resid = w @ coef.T
+    wc, back = _centred(w)
+    coef, gram_inv, singular = _normal_equations(wc, y, obs)
+    resid = wc @ coef.T
     np.subtract(y, resid, out=resid)
     if obs is None:
         rows = np.full(y.shape[1], n)
@@ -150,12 +151,13 @@ def _ols_columns(w, y, variance_mode, obs=None):
         rows = obs.sum(axis=0)
     sq = np.square(resid, out=resid)
     if variance_mode == "sandwich":
-        meat = (sq.T @ _outer_rows(w)).reshape(-1, q, q)
+        meat = (sq.T @ _outer_rows(wc)).reshape(-1, q, q)
         cov = gram_inv @ meat @ gram_inv
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
             sigma2 = sq.sum(axis=0) / (rows - q)
         cov = sigma2[:, None, None] * gram_inv
+    _uncentre(back, coef, cov)
     return coef, cov, rows - q, singular
 
 
@@ -163,11 +165,11 @@ def ols_sandwich(
     y_tilde: np.ndarray, w: np.ndarray, variance_mode: str = "sandwich"
 ) -> OlsFit:
     """Least squares of one response with the plug-in sandwich or the
-    homoskedastic covariance (see ``_ols_columns``)."""
+    homoskedastic covariance (see ``_ols_columns``); a singular W is a DataError."""
     y = np.asarray(y_tilde, dtype=float)[:, None]
     coef, cov, _, singular = _ols_columns(w, y, variance_mode)
     if singular[0]:
-        raise NumericalError("singular W'W in least squares")
+        raise DataError("singular W'W in least squares")
     resid = y - np.asarray(w, dtype=float) @ coef.T
     return OlsFit(
         beta=coef[0], cov=cov[0], residuals=resid[:, 0], variance_mode=variance_mode

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: usage errors -> 1, DataError -> 2,
-NumericalError -> 3.
+The CLI maps these onto exit codes: usage errors -> 1, DataError -> 2;
+numpy's LinAlgError, a numerical failure, -> 3.
 """
 
 
@@ -12,6 +12,3 @@ class DrpiError(Exception):
 class DataError(DrpiError):
     """Malformed, inconsistent, or otherwise unusable input data."""
 
-
-class NumericalError(DrpiError):
-    """A numerical procedure failed: a singular W'W in ``ols_sandwich``."""

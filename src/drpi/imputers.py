@@ -98,7 +98,7 @@ def _row_fit(d: Dataset, backend: str, train=None, at=None):
     # a column copy even if every column fits: pinned full-sample outputs round in its F order
     y, obs = d.y_obs[rows][:, ~few], mask[:, ~few]
     y[obs == 0] = 0.0  # in place, keeping that order
-    coef = _masked_least_squares(d.w[rows], y, obs)[0]
+    coef = _masked_least_squares(d.w[rows], y, obs)
     nu = np.empty((len(w_at), d.p))
     nu[:, ~few] = w_at @ coef.T
     if few.any():  # warns about all-missing columns, before the rest below
@@ -194,9 +194,9 @@ def impute_soft(d: Dataset, cfg: ImputerConfig = None) -> ImputedMatrix:
         t_new = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
         y = z_new + ((t - 1.0) / t_new) * step
         z, t = z_new, t_new
-        scale = max(math.sqrt(np.vdot(z, z)), 1.0)
-        rel_change = delta / scale
-        if delta <= cfg.tol * scale:
+        norm = math.sqrt(np.vdot(z, z))
+        rel_change = delta / norm if norm else 0.0
+        if delta <= cfg.tol * norm:
             converged = True
             break
     if not converged:
@@ -288,6 +288,8 @@ def impute_knn(d: Dataset, cfg: ImputerConfig = None) -> ImputedMatrix:
     k = min(cfg.k_neighbors, d.p)
     obs = d.mask.astype(float)
     yz = np.where(d.mask == 1, d.y_obs, 0.0)
+    means = _means(yz.sum(axis=0), obs.sum(axis=0), warn=True)
+    np.subtract(yz, means, out=yz, where=d.mask == 1)  # centred: an offset of y cancels
     counts, mean_a, sim = _pairwise_stats(obs, yz)
     sim[counts < 3] = -np.inf  # overlap below 3 rows: pair carries no signal
     del counts
@@ -303,9 +305,8 @@ def impute_knn(d: Dataset, cfg: ImputerConfig = None) -> ImputedMatrix:
     # other kernels for a transposed operand, which round differently
     nbr_t = np.ascontiguousarray(nbr.T, dtype=float)
     wts = _counting(obs) @ _counting(nbr_t)
-    vals = yz @ nbr_t + obs @ shift.T
-    fallback = _means(yz.sum(axis=0), obs.sum(axis=0), warn=True)
-    nu = np.where(wts > 0, vals / np.maximum(wts, 1.0), fallback)
+    nu = (yz @ nbr_t + obs @ shift.T) / np.maximum(wts, 1.0)
+    nu += means  # a cell with no neighbour has nu 0 so far: its column mean
 
     backend = "knn2" if cfg.backend == "knn2" else "knn"
     if backend == "knn2":

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _constant_columns, _solve_or_pinv
+from ._linalg import _centred, _constant_columns, _solve_or_pinv, _uncentre
 from .errors import DataError
 
 STEP_HALVINGS = 50
@@ -151,12 +151,12 @@ def fit_logistic_columns(
     """Maximize the Bernoulli log-likelihood of each column of c given w.
 
     Each iteration takes one Newton step per column.  A column converges
-    when its score max-norm drops below tol; when the step's predicted
-    log-likelihood gain (its Newton decrement), or failing that its actual
-    gain, is at most tol relative to the log-likelihood; or when no
-    step-halving of the Newton step raises it (a NaN counts as lower).  A
-    column that W separates has no MLE and stops when its gain stalls, in
-    any units of W, with probabilities at clip_floor (``clipped_frac``).
+    when its Newton decrement (the step's predicted log-likelihood gain), or
+    else its actual gain, is at most tol relative to the log-likelihood, or
+    when no step-halving raises it (a NaN counts as lower).  These rules are
+    affine-invariant and the fit runs on ``_linalg._centred`` w, so a fit's
+    probabilities do not depend on a covariate's unit or offset, to rounding.
+    A separated column stops when its gain stalls, at clip_floor (``clipped_frac``).
     Fitted probabilities are clipped to [clip_floor, 1] so inverse-propensity
     weights stay bounded.  A constant column gets a constant-propensity fit
     with ``separated`` set, so fully observed columns flow through the same
@@ -186,7 +186,8 @@ def fit_logistic_columns(
     converged = separated.copy()
     iterations = np.zeros(p, dtype=int)
 
-    wt = np.ascontiguousarray(w.T)
+    wc, back = _centred(w)
+    wt = np.ascontiguousarray(wc.T)
     iu, ju = np.triu_indices(q)
     wwt = wt[iu] * wt[ju]  # (q(q+1)/2, n): the Hessian's unique entries
     sym = np.empty((q, q), dtype=int)  # each Hessian entry's place among them
@@ -217,12 +218,11 @@ def fit_logistic_columns(
         step = _solve_or_pinv(hess, score[:, :, None])[0][:, :, 0]
 
         ll_tol = tol * np.maximum(np.abs(ll), 1.0)
-        flat = np.abs(score).max(axis=1) <= tol
-        small = ~flat & (0.5 * (score * step).sum(axis=1) <= ll_tol)
+        small = 0.5 * (score * step).sum(axis=1) <= ll_tol
         beta[small] += step[small]
 
         # step-halving keeps each searched column's log-likelihood monotone
-        search = np.flatnonzero(~(flat | small))
+        search = np.flatnonzero(~small)
         every = search.size == cols.size  # then search is every active column, in order
         cand = beta + step if every else beta[search] + step[search]
         prob_new, ll_new = _prob_loglik(ct if every else ct[search], _eta(wt, cand))
@@ -248,7 +248,7 @@ def fit_logistic_columns(
         stalled[moved] = ll_new - ll[moved] <= ll_tol[moved]
         ll[moved] = ll_new
 
-        done = flat | small | stuck | stalled
+        done = small | stuck | stalled
         if not done.any():  # every column searched and moved
             prob = prob_new
             continue
@@ -261,6 +261,7 @@ def fit_logistic_columns(
         cols, ct, beta, ll = cols[keep], ct[keep], beta[keep], ll[keep]
     coef[cols] = beta  # out of iterations, not converged
     iterations[cols] = max_iter
+    _uncentre(back, coef)
     return PropensityColumns(
         coef=coef,
         delta_hat=_propensity(w if at is None else at, coef, separated, constant, clip_floor),

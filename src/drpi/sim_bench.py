@@ -18,7 +18,7 @@ import numpy as np
 from . import dr_inference, multiple_testing
 from .data_model import Dataset, MethodKind, _first_repeat, _read_table, _write_csv
 from .dr_inference import InferenceConfig
-from .errors import DataError, NumericalError
+from .errors import DataError
 
 MAR_MISS_CAP = 0.5  # P(C=0) = e^x / (2(1+e^x)) stays below 1/2
 
@@ -273,7 +273,7 @@ def run_benchmark(
     factored once and shared read-only; AR(1) noise needs no factor.  A
     covariance that cannot be used is refused before any repetition runs; an
     imputer size setting above n or p is a cap, not a refusal.  A repetition
-    that raises DataError or NumericalError is recorded in ``failed_reps``,
+    that raises DataError is recorded in ``failed_reps``,
     with threads as without.
     """
     if threads < 0:
@@ -286,7 +286,7 @@ def run_benchmark(
     def work(rep):
         try:
             return _run_rep(cfg, rep, methods, inf_cfg, chol), None
-        except (DataError, NumericalError) as exc:
+        except DataError as exc:
             return None, (rep, str(exc))
 
     reps = range(cfg.reps)

@@ -3,8 +3,9 @@
 One column per call, with the arithmetic of the original loop
 implementation: ``fit_logistic`` below is that IRLS (BLAS dot products,
 ``lstsq`` on a singular Hessian), verbatim but for its start at the
-intercept-only fit when w has an intercept, least squares inverts W'W per
-column, the lowdim imputer runs ``lstsq`` per column, soft-impute thresholds
+intercept-only fit when w has an intercept and for the score max-norm stop
+it no longer has, since a score's size depends on W's units; least squares
+inverts W'W per column, the lowdim imputer runs ``lstsq`` per column, soft-impute thresholds
 through a full SVD and iterates plain proximal-gradient steps (and, in
 ``soft_impute_apg``, the accelerated loop as first written), the knn
 imputers loop over columns, neighbours and rows, and p-values come from
@@ -44,8 +45,6 @@ def fit_logistic(c, w, tol=1e-8, max_iter=100, clip_floor=0.01):
     for _ in range(max_iter):
         prob = _sigmoid(w @ beta)
         score = w.T @ (c - prob)
-        if np.abs(score).max() <= tol:
-            break
         hess = w.T @ (w * (prob * (1.0 - prob))[:, None])
         try:
             step = np.linalg.solve(hess, score)

@@ -16,7 +16,7 @@ from drpi.dr_inference import (
     ols_sandwich,
     pseudo_outcomes,
 )
-from drpi.errors import DataError, NumericalError
+from drpi.errors import DataError
 from drpi.imputers import ImputedMatrix, ImputerConfig, impute, impute_lowdim
 from drpi.propensity import fit_logistic_columns
 from drpi.sim_bench import SimConfig, gen_dataset
@@ -148,11 +148,11 @@ def test_ols_refuses_an_unknown_variance_mode():
         ols_sandwich(np.arange(5.0), w, "hc3")
 
 
-def test_ols_on_a_singular_design_raises_numerical_error():
-    """A W whose two columns are equal has no unique fit; this is the one
-    NumericalError the package raises."""
+def test_ols_on_a_singular_design_raises_data_error():
+    """A W whose two columns are equal has no unique fit: the design is
+    unusable input, like any other data error."""
     w = np.column_stack([np.ones(5), np.ones(5)])
-    with pytest.raises(NumericalError, match="singular W'W in least squares"):
+    with pytest.raises(DataError, match="singular W'W in least squares"):
         ols_sandwich(np.arange(5.0), w)
 
 

@@ -7,7 +7,7 @@ import pytest
 from drpi import dr_inference, imputers, propensity, sim_bench
 from drpi.data_model import MethodKind, load_dataset, write_dataset
 from drpi.dr_inference import InferenceConfig
-from drpi.errors import DataError, NumericalError
+from drpi.errors import DataError
 from drpi.imputers import ImputerConfig
 from drpi.sim_bench import (
     SimConfig,
@@ -354,7 +354,7 @@ def test_failed_reps_recorded_for_any_thread_count(monkeypatch):
     """A repetition that raises is recorded with its reason, in order, by
     serial and threaded runs alike."""
     def fail(cfg, rep, *rest):
-        raise (NumericalError if rep % 2 else DataError)(f"repetition {rep} fails")
+        raise DataError(f"repetition {rep} fails")
 
     monkeypatch.setattr(sim_bench, "_run_rep", fail)
     cfg = SimConfig(model=3, n=60, p=5, seed=1, reps=3)
