@@ -57,8 +57,8 @@ class ImputerConfig:
             raise DataError("k_neighbors must be >= 1")
         if self.max_rank < 0:
             raise DataError("max_rank (soft-impute rank cap) must be >= 0")
-        if self.rank_penalty < 0:
-            raise DataError("rank_penalty (soft-impute lambda) must be >= 0")
+        if not (math.isnan(self.rank_penalty) or 0 <= self.rank_penalty < math.inf):
+            raise DataError("rank_penalty (soft-impute lambda) must be finite and >= 0, or NaN")
         if self.max_iter < 1:
             raise DataError("max_iter (soft-impute iterations) must be >= 1")
         if not self.tol >= 0:

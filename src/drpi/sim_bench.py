@@ -61,6 +61,10 @@ class SimConfig:
             raise DataError(f"need n > q, got n={self.n}, q={q}")
         if self.reps < 1:
             raise DataError(f"reps must be >= 1, got {self.reps}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
+        if np.isinf(self.signal_c):
+            raise DataError(f"signal_c must be finite, or NaN for the default, got {self.signal_c}")
         for cut in self.cutoffs:
             multiple_testing.check_alpha(cut)
         _refuse_repeats("cutoff", self.cutoffs)
@@ -245,19 +249,16 @@ class BenchResult:
 
 
 def _run_rep(cfg: SimConfig, rep: int, methods, inf_cfg: InferenceConfig, chol=None):
+    """One repetition's record: ``({(method, cutoff): (FDR, TPR)}, {method: beta})``."""
     d, truth = gen_dataset(cfg, rep, chol)
     ests = dr_inference.infer_methods(d, methods, inf_cfg, oracle=truth.y_full)
-
-    out = {}
+    scores = {}
     for m, est in ests.items():
         cols = np.flatnonzero(est.kept)
         q = multiple_testing.bh_qvalues(est.p_value[cols])
-        per_cut = {}
         for cut in cfg.cutoffs:
-            sel = cols[multiple_testing.select(q, cut)]
-            per_cut[cut] = fdr_tpr(sel, truth.signal_set)
-        out[m] = (per_cut, est.beta)
-    return out
+            scores[(m, cut)] = fdr_tpr(cols[multiple_testing.select(q, cut)], truth.signal_set)
+    return scores, {m: est.beta for m, est in ests.items()}
 
 
 def run_benchmark(
@@ -295,29 +296,16 @@ def run_benchmark(
             outcomes = list(ex.map(work, reps))
     else:
         outcomes = [work(rep) for rep in reps]
-    results = [res for res, _ in outcomes]
+    records = [res for res, _ in outcomes if res is not None]
     failed = [why for _, why in outcomes if why is not None]
-
-    fdr = {(m, c): [] for m in methods for c in cfg.cutoffs}
-    tpr = {(m, c): [] for m in methods for c in cfg.cutoffs}
-    betas = {m: [] for m in methods}
-    for res in results:
-        if res is None:
-            continue
-        for m in methods:
-            per_cut, b = res[m]
-            betas[m].append(b)
-            for cut in cfg.cutoffs:
-                f, t = per_cut[cut]
-                fdr[(m, cut)].append(f)
-                tpr[(m, cut)].append(t)
+    keys = [(m, cut) for m in methods for cut in cfg.cutoffs]
     return BenchResult(
         cfg=cfg,
         methods=methods,
         cutoffs=tuple(cfg.cutoffs),
-        fdr={k: np.array(v) for k, v in fdr.items()},
-        tpr={k: np.array(v) for k, v in tpr.items()},
-        betas={m: np.array(v) for m, v in betas.items()},
+        fdr={k: np.array([scores[k][0] for scores, _ in records]) for k in keys},
+        tpr={k: np.array([scores[k][1] for scores, _ in records]) for k in keys},
+        betas={m: np.array([betas[m] for _, betas in records]) for m in methods},
         failed_reps=failed,
     )
 
@@ -347,6 +335,8 @@ def toy_power_experiment(
         raise DataError(f"reps must be >= 1, got {reps}")
     if n < 2:
         raise DataError(f"n must be >= 2, got {n}")
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
     if not 0.0 < delta <= 1.0:
         raise DataError(f"delta must be in (0, 1], got {delta:g}")
     if not np.isfinite(beta):

@@ -155,7 +155,8 @@ def test_out_of_range_propensity_setting_exits_2(flag, value, csv_pair, tmp_path
 
 
 @pytest.mark.parametrize("flags,field", [
-    (("--imputer-rank=-1",), "max_rank"), (("--alpha=1.5",), "alpha"), (("--alpha=0",), "alpha"),
+    (("--imputer-rank=-1",), "max_rank"), (("--imputer-lambda=inf",), "rank_penalty"),
+    (("--alpha=1.5",), "alpha"), (("--alpha=0",), "alpha"),
     (("--obs-threshold=-0.5",), "--obs-threshold must be in [0, 1]"),
     (("--feed-threshold=7",), "--feed-threshold must be in [0, 1]"),
     (("--feed-threshold=-3",), "--feed-threshold must be in [0, 1]"),
@@ -252,6 +253,8 @@ def test_external_nu_without_external_imputer_exits_2(csv_pair, tmp_path, capsys
      "method 'dr_w' given more than once"),
     (("simulate", "--n", "40", "--p", "10", "--cutoffs", "0.05,0.1,0.05"),
      "cutoff 0.05 given more than once"),
+    (("simulate", "--n", "40", "--p", "5", "--reps", "2", "--seed", "-1"), "seed must be >= 0"),
+    (("toy-power", "--reps", "10", "--seed", "-1"), "seed must be >= 0"),
 ])
 def test_empty_or_out_of_range_run_exits_2(argv, field, tmp_path, capsys, monkeypatch):
     """No repetitions or a cutoff outside (0, 1) would write an all-NaN
@@ -260,7 +263,8 @@ def test_empty_or_out_of_range_run_exits_2(argv, field, tmp_path, capsys, monkey
     that does not parse, or a rho grid whose step is not positive, with a
     message that names it, and a shape that would fail every repetition:
     no columns or no more samples than covariates.  A method or cutoff given
-    twice would score each repetition twice, so it is refused by name."""
+    twice would score each repetition twice, so it is refused by name, as
+    is a negative seed, which no repetition's seed stream can take."""
     monkeypatch.setattr(sim_bench, "_run_rep", lambda *a: pytest.fail("a repetition ran"))
     out = tmp_path / "out.csv"
     assert run_cli(*argv, "--out", str(out), "--quiet") == 2

@@ -270,6 +270,8 @@ def test_zero_neighbors_rejected():
 def test_soft_negative_lambda_rejected():
     with pytest.raises(DataError, match="rank_penalty"):
         ImputerConfig(backend="soft", rank_penalty=-1.0)
+    with pytest.raises(DataError, match="rank_penalty"):
+        ImputerConfig(backend="soft", rank_penalty=float("inf"))
     assert np.isnan(ImputerConfig(backend="soft").rank_penalty)
 
 

@@ -125,6 +125,14 @@ def test_predict_rejects_a_covariate_count_mismatch():
     assert fit_logistic_columns(c, w, at=w[0]).delta_hat.shape == (1, 3)
 
 
+@pytest.mark.parametrize("shape", [(20,), (19, 3)], ids=["one_d", "row_mismatch"])
+def test_batched_fit_refuses_a_response_of_the_wrong_shape(shape):
+    """The responses are an (n, p) matrix with one row per covariate row."""
+    w = np.column_stack([np.ones(20), np.arange(20.0)])
+    with pytest.raises(DataError, match=r"response shape .* does not match 20 covariate rows"):
+        fit_logistic_columns(np.ones(shape), w)
+
+
 @pytest.mark.parametrize("cell", [np.nan, 2.0, -1.0, 0.5])
 def test_batched_fit_refuses_responses_other_than_zero_or_one(cell):
     w = np.column_stack([np.ones(20), np.arange(20.0)])

@@ -245,6 +245,10 @@ def test_config_validation():
         SimConfig(reps=0)
     with pytest.raises(DataError, match="p must be >= 1"):
         SimConfig(p=0)
+    with pytest.raises(DataError, match="seed must be >= 0"):
+        SimConfig(seed=-1)
+    with pytest.raises(DataError, match="signal_c must be finite"):
+        SimConfig(signal_c=float("inf"))
     for model, n in [(1, 2), (3, 3)]:  # q = 2 in model 1, 3 otherwise
         with pytest.raises(DataError, match="need n > q"):
             SimConfig(model=model, n=n)
@@ -313,10 +317,10 @@ def test_benchmark_factors_the_noise_covariance_once(threads, monkeypatch, tmp_p
     res = run_benchmark(cfg, methods, inf_cfg=inf, threads=threads)
     assert len(calls) == 1
     for rep in range(cfg.reps):
-        out = sim_bench._run_rep(cfg, rep, methods, inf)  # factors afresh
+        scores, betas = sim_bench._run_rep(cfg, rep, methods, inf)  # factors afresh
         for m in methods:
-            np.testing.assert_array_equal(res.betas[m][rep], out[m][1])
-            np.testing.assert_array_equal(res.fdr[(m, 0.05)][rep], out[m][0][0.05][0])
+            np.testing.assert_array_equal(res.betas[m][rep], betas[m])
+            np.testing.assert_array_equal(res.fdr[(m, 0.05)][rep], scores[(m, 0.05)][0])
     assert len(calls) == 1 + cfg.reps
 
 
